@@ -65,7 +65,7 @@ func benchFilter(b *testing.B, set *rules.Set, mode filter.CopyMode) *filter.Fil
 	if err != nil {
 		b.Fatal(err)
 	}
-	f, err := filter.New(e, set, filter.Config{Mode: mode, Stride: 4, DisablePromotion: true})
+	f, err := filter.New(e, set, filter.Config{Mode: mode, DisablePromotion: true})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -43,7 +43,7 @@ func testFilters(t testing.TB, set *rules.Set, n int) []*filter.Filter {
 		if err != nil {
 			t.Fatal(err)
 		}
-		f, err := filter.New(e, set, filter.Config{Stride: 4, DisablePromotion: true})
+		f, err := filter.New(e, set, filter.Config{DisablePromotion: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -552,7 +552,7 @@ func TestEnginePromotesAtEpochBoundary(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		f, err := filter.New(e, set, filter.Config{Stride: 4}) // promotion enabled
+		f, err := filter.New(e, set, filter.Config{}) // promotion enabled
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -36,7 +36,7 @@ func confFilter(t *testing.T, k int) *filter.Filter {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, err := filter.New(e, set, filter.Config{Stride: 4, DisablePromotion: true})
+	f, err := filter.New(e, set, filter.Config{DisablePromotion: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,6 +11,7 @@ import (
 	"github.com/innetworkfiltering/vif/internal/packet"
 	"github.com/innetworkfiltering/vif/internal/pipeline"
 	"github.com/innetworkfiltering/vif/internal/rules"
+	"github.com/innetworkfiltering/vif/internal/sketch"
 	"github.com/innetworkfiltering/vif/internal/trie"
 )
 
@@ -32,23 +33,59 @@ func buildRules(rng *rand.Rand, k int, pAllow float64) (*rules.Set, error) {
 	return rules.NewSet(rs, true)
 }
 
-func newFilter(set *rules.Set, mode filter.CopyMode, disablePromotion bool) (*filter.Filter, error) {
-	// Stride 4 keeps the multi-bit trie compact (<1 MB at 3,000 rules with
-	// the flat node arena), so the 3,000-rule operating point stays
-	// cache-resident as on the paper's testbed.
-	return newFilterStride(set, mode, disablePromotion, 4)
-}
-
-func newFilterStride(set *rules.Set, mode filter.CopyMode, disablePromotion bool, stride int) (*filter.Filter, error) {
-	e, err := enclave.New(enclave.CodeIdentity{
+func newEnclave() (*enclave.Enclave, error) {
+	return enclave.New(enclave.CodeIdentity{
 		Name: "vif-filter", Version: "exp", BinarySize: 1 << 20,
 	}, enclave.DefaultCostModel())
+}
+
+func newFilter(set *rules.Set, mode filter.CopyMode, disablePromotion bool) (*filter.Filter, error) {
+	e, err := newEnclave()
 	if err != nil {
 		return nil, err
 	}
-	return filter.New(e, set, filter.Config{
-		Mode: mode, Stride: stride, DisablePromotion: disablePromotion,
-	})
+	return filter.New(e, set, filter.Config{Mode: mode, DisablePromotion: disablePromotion})
+}
+
+// paperTrie builds the paper's lookup structure — the multi-bit trie of
+// Figure 6 at its classic stride of 8 — over set, inside an enclave whose
+// EPC meter holds what the paper's filter holds: the binary, the trie and
+// the two packet logs. Figures 3a/3b are properties of that structure's
+// footprint; the live filter's compiled classifier is an order of
+// magnitude smaller and does not reach the cache or EPC limits within the
+// paper's rule range, so the reproductions price the trie directly.
+func paperTrie(set *rules.Set) (*trie.Snapshot, *enclave.Enclave, error) {
+	e, err := newEnclave()
+	if err != nil {
+		return nil, nil, err
+	}
+	tbl := trie.NewDefault()
+	tbl.InsertSet(set)
+	snap := tbl.Snapshot()
+	e.SetMemoryUsed(snap.RetainedBytes() + 2*sketch.NewDefault().MemoryBytes())
+	return snap, e, nil
+}
+
+// trieClosedLoop is pipeline.RunClosedLoop for the paper's design point:
+// every packet pays the near-zero-copy fixed costs, one incoming-log
+// update, and one trie walk whose memory touches beyond the always-hot
+// upper levels are priced by the cost model at the enclave's footprint.
+func trieClosedLoop(snap *trie.Snapshot, e *enclave.Enclave, descs []packet.Descriptor, n int) float64 {
+	model := e.Model()
+	cv := enclave.CostVector{
+		FixedPackets: n,
+		CopyInBytes:  n * (packet.KeySize + 2 + 8),
+		SketchRows:   n * sketch.DefaultRows,
+	}
+	for i := 0; i < n; i++ {
+		_, _, visited, _ := snap.LookupTrace(descs[i%len(descs)].Tuple)
+		hot := min(visited, model.HotVisits)
+		cv.HotRefs += hot
+		cv.ColdRefs += visited - hot
+	}
+	e.ResetMeter()
+	e.ChargeBatch(cv)
+	return e.VirtualNs()/float64(n) + model.PipelineNs
 }
 
 // matchingDescriptors generates descriptors that hit installed rules
@@ -99,17 +136,12 @@ func Fig3a(cfg Config) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		// Stride 8 — the classic multi-bit configuration of Figure 6 — so
-		// the lookup table's footprint sweeps past the LLC budget within
-		// the paper's rule range. (The flat node arena made the stride-4
-		// table so compact that its cache cliff now sits beyond 25,000
-		// rules; the wider fan-out reproduces the testbed's footprint.)
-		f, err := newFilterStride(set, filter.CopyModeNearZero, true, 8)
+		snap, e, err := paperTrie(set)
 		if err != nil {
 			return nil, err
 		}
 		descs := matchingDescriptors(rng, set, 1024, 64)
-		perPkt := pipeline.RunClosedLoop(f, descs, pkts)
+		perPkt := trieClosedLoop(snap, e, descs, pkts)
 		pps, bps := pipeline.ModeledThroughput(perPkt, 64, pipeline.TenGigE)
 		res.Rows = append(res.Rows, []string{
 			fmt.Sprintf("%d", k),
@@ -130,7 +162,8 @@ func Fig3a(cfg Config) (*Result, error) {
 
 // Fig3b regenerates Figure 3b: the enclave memory footprint of the filter
 // (lookup table + logs) growing linearly with rules toward the 92 MB EPC
-// limit.
+// limit — the paper's line, over its multi-bit trie — next to what this
+// system's filter actually holds in EPC for the same rules.
 func Fig3b(cfg Config) (*Result, error) {
 	counts := []int{100, 1000, 2000, 4000, 6000, 8000, 10000}
 	if !cfg.Quick {
@@ -139,12 +172,17 @@ func Fig3b(cfg Config) (*Result, error) {
 	res := &Result{
 		ID:     "fig3b",
 		Title:  "enclave memory footprint vs number of rules",
-		Header: []string{"rules", "footprint MB", "EPC limit MB", "exceeded"},
+		Header: []string{"rules", "trie footprint MB", "classifier footprint MB", "EPC limit MB", "trie exceeded"},
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	model := enclave.DefaultCostModel()
+	var firstTrie, lastTrie int
 	for _, k := range counts {
 		set, err := buildRules(rng, k, 0)
+		if err != nil {
+			return nil, err
+		}
+		_, e, err := paperTrie(set)
 		if err != nil {
 			return nil, err
 		}
@@ -152,16 +190,22 @@ func Fig3b(cfg Config) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		used := f.Enclave().MemoryUsed()
 		res.Rows = append(res.Rows, []string{
 			fmt.Sprintf("%d", k),
-			fmt.Sprintf("%.1f", float64(used)/1e6),
+			fmt.Sprintf("%.1f", float64(e.MemoryUsed())/1e6),
+			fmt.Sprintf("%.1f", float64(f.Enclave().MemoryUsed())/1e6),
 			fmt.Sprintf("%.0f", float64(model.EPCBytes)/1e6),
-			fmt.Sprintf("%v", f.Enclave().EPCExceeded()),
+			fmt.Sprintf("%v", e.EPCExceeded()),
 		})
+		if firstTrie == 0 {
+			firstTrie = e.MemoryUsed()
+		}
+		lastTrie = e.MemoryUsed()
 	}
+	perRule := float64(lastTrie-firstTrie) / float64(counts[len(counts)-1]-counts[0])
 	res.Notes = append(res.Notes,
-		"growth is linear in rules as in the paper; the per-rule footprint of this trie (~2.3 KB) is smaller than the paper's (~15 KB), so the EPC line is crossed later — shape, not scale, is the claim")
+		fmt.Sprintf("trie growth is linear in rules as in the paper; its per-rule footprint (~%.1f KB at stride 8) is smaller than the paper's (~15 KB), so the EPC line is crossed later — shape, not scale, is the claim", perRule/1e3),
+		"the classifier column is the live filter's EPC charge (binary + compiled classifier + logs): the structure packets are actually decided by")
 	return res, nil
 }
 

@@ -226,7 +226,7 @@ func TestReconfigureDeltaDensifyBound(t *testing.T) {
 	}
 	view := f.view.Load()
 	n := view.set.Len()
-	if domain := int(view.snap.MaxPrio()) + 1; domain > densifyFactor*n {
+	if domain := int(view.maxPrio) + 1; domain > densifyFactor*n {
 		t.Fatalf("priority domain %d exceeds bound %d (rules %d): densify never fired", domain, densifyFactor*n, n)
 	}
 	if got := len(f.ruleBytes); got > densifyFactor*n {

@@ -16,7 +16,6 @@ import (
 	"github.com/innetworkfiltering/vif/internal/rules"
 	"github.com/innetworkfiltering/vif/internal/sketch"
 	"github.com/innetworkfiltering/vif/internal/telemetry"
-	"github.com/innetworkfiltering/vif/internal/trie"
 )
 
 // Verdict is the filter's per-packet decision.
@@ -76,8 +75,9 @@ func (m CopyMode) String() string {
 const descriptorBytes = packet.KeySize + 2 + 8
 
 // densifyFactor bounds the sparse priority domain a ReconfigureDelta
-// lineage may grow: once MaxPrio+1 would exceed this multiple of the live
-// rule count, the delta rebuilds the table dense instead of diffing.
+// lineage may grow: once maxPrio+1 would exceed this multiple of the live
+// rule count, the delta recompiles the classifier dense instead of
+// patching it.
 const densifyFactor = 2
 
 // Errors.
@@ -89,8 +89,6 @@ var (
 type Config struct {
 	// Mode is the data-path copy discipline. Default CopyModeNearZero.
 	Mode CopyMode
-	// Stride is the lookup trie stride. Default trie.DefaultStride.
-	Stride int
 	// MaxPending caps the queue of flows awaiting exact-match promotion;
 	// beyond it, new flows are still decided by hashing but not queued
 	// (bounding enclave memory). Default 65536.
@@ -104,9 +102,6 @@ func (c *Config) fillDefaults() {
 	if c.Mode == 0 {
 		c.Mode = CopyModeNearZero
 	}
-	if c.Stride == 0 {
-		c.Stride = trie.DefaultStride
-	}
 	if c.MaxPending == 0 {
 		c.MaxPending = 65536
 	}
@@ -119,7 +114,8 @@ type Stats struct {
 	Dropped   uint64
 	// ExactHits counts verdicts served by the learned exact-match table.
 	ExactHits uint64
-	// RuleHits counts verdicts served by installed rules (trie).
+	// RuleHits counts verdicts served by installed rules (the compiled
+	// classifier).
 	RuleHits uint64
 	// DefaultHits counts packets matching no rule.
 	DefaultHits uint64
@@ -155,28 +151,29 @@ type statsCounters struct {
 }
 
 // ruleView bundles everything a lookup consults about the installed rules:
-// the shard, the peer-rule view, the immutable trie snapshot (priority
-// allocator and delta lineage), and the compiled multi-attribute
-// classifier that serves the packet path. It is swapped wholesale with
-// one atomic pointer store, so a reader never sees a shard paired with
-// the wrong lookup table.
+// the shard, the peer-rule view, the compiled multi-attribute classifier
+// that serves the packet path, and the priority numbering the classifier
+// and the per-rule byte counters share. It is swapped wholesale with one
+// atomic pointer store, so a reader never sees a shard paired with the
+// wrong lookup table.
 type ruleView struct {
 	set     *rules.Set
 	foreign *rules.Set
-	snap    *trie.Snapshot
 	// prog is the compiled classifier Classify/Decision/Explain/Promote
 	// resolve packets against: one interval-table probe per attribute plus
-	// a bitset intersection, flat in the rule count where the trie's
-	// per-node candidate scans were linear. Immutable, like snap.
+	// a bitset intersection, flat in the rule count. Immutable.
 	prog *classify.Program
-	// prios maps set.Rules[i] to its priority in snap and prog. nil means
-	// identity (a full rebuild assigns dense 0..Len-1 priorities); after
+	// prios maps set.Rules[i] to its priority in prog. nil means identity
+	// (a full rebuild assigns dense 0..Len-1 priorities); after
 	// ReconfigureDelta priorities are sparse — survivors keep theirs and
-	// adds extend past snap.MaxPrio — so the mapping is explicit.
+	// adds extend past maxPrio — so the mapping is explicit.
 	prios []int32
+	// maxPrio is the highest priority this lineage has ever assigned (a
+	// removed rule's number is never reused): the next add is maxPrio+1.
+	maxPrio int32
 }
 
-// prio returns the trie priority of set.Rules[i].
+// prio returns the classifier priority of set.Rules[i].
 func (v *ruleView) prio(i int) int32 {
 	if v.prios == nil {
 		return int32(i)
@@ -260,11 +257,6 @@ func New(encl *enclave.Enclave, set *rules.Set, cfg Config) (*Filter, error) {
 		return nil, ErrNoRules
 	}
 	cfg.fillDefaults()
-	tbl, err := trie.New(cfg.Stride)
-	if err != nil {
-		return nil, err
-	}
-	tbl.InsertSet(set)
 	f := &Filter{
 		encl:       encl,
 		cfg:        cfg,
@@ -277,16 +269,20 @@ func New(encl *enclave.Enclave, set *rules.Set, cfg Config) (*Filter, error) {
 		sha:        sha256.New(),
 		shaDigest:  make([]byte, 0, sha256.Size),
 	}
-	clsStart := time.Now()
-	prog := classify.Compile(set.Rules, nil, int32(set.Len()-1))
-	f.clsBuildNs.Store(int64(time.Since(clsStart)))
-	f.view.Store(&ruleView{
-		set:  set,
-		snap: tbl.Snapshot(),
-		prog: prog,
-	})
+	f.view.Store(f.compileDense(set, nil))
 	f.syncMemory()
 	return f, nil
+}
+
+// compileDense compiles set from scratch under identity priorities
+// 0..Len-1 (the numbering New, Reconfigure and a densifying delta share)
+// and records the compile time.
+func (f *Filter) compileDense(set, foreign *rules.Set) *ruleView {
+	maxPrio := int32(set.Len() - 1)
+	start := time.Now()
+	prog := classify.Compile(set.Rules, nil, maxPrio)
+	f.clsBuildNs.Store(int64(time.Since(start)))
+	return &ruleView{set: set, foreign: foreign, prog: prog, maxPrio: maxPrio}
 }
 
 // Enclave returns the hosting enclave (for attestation and metering).
@@ -325,16 +321,14 @@ func (f *Filter) Stats() Stats {
 }
 
 // syncMemory recomputes the enclave's EPC charge from the actual data
-// structure sizes: lookup table snapshot + learned flows + the two packet
-// logs.
+// structure sizes: compiled classifier + learned flows + pending queue +
+// the two packet logs.
 func (f *Filter) syncMemory() {
-	// RetainedBytes, not MemoryBytes: a delta-built snapshot (and a
-	// delta-evolved classifier over a sparse priority domain) can carry
-	// bounded dead arena slack, and the EPC meter charges what is actually
-	// resident.
+	// RetainedBytes, not MemoryBytes: a delta-evolved classifier over a
+	// sparse priority domain can carry bounded width slack, and the EPC
+	// meter charges what is actually resident.
 	view := f.view.Load()
-	mem := view.snap.RetainedBytes() +
-		view.prog.RetainedBytes() +
+	mem := view.prog.RetainedBytes() +
 		f.exact.memoryBytes() +
 		len(f.pendingQ)*packet.KeySize +
 		f.inLog.MemoryBytes() + f.outLog.MemoryBytes()
@@ -342,7 +336,7 @@ func (f *Filter) syncMemory() {
 }
 
 // Reconfigure installs a new shard (and the peer-rule view used for
-// misroute detection) by building a fresh immutable lookup snapshot and
+// misroute detection) by compiling a fresh immutable classifier and
 // swapping it in with one atomic pointer store. The swap means readers of
 // the view (Decision, a monitoring Rules call) never observe a torn or
 // half-built lookup table and the rebuild never parks them — but
@@ -357,34 +351,22 @@ func (f *Filter) Reconfigure(set *rules.Set, foreign *rules.Set) error {
 	if set == nil || set.Len() == 0 {
 		return ErrNoRules
 	}
-	tbl, err := trie.New(f.cfg.Stride)
-	if err != nil {
-		return err
-	}
-	tbl.InsertSet(set)
 	f.exact = newExactTable()
 	f.exactCount.Store(0)
 	f.pendingQ = f.pendingQ[:0]
 	f.pendingLen.Store(0)
 	clear(f.pendingSet)
 	f.ruleBytes = make([]uint64, set.Len())
-	clsStart := time.Now()
-	prog := classify.Compile(set.Rules, nil, int32(set.Len()-1))
-	f.clsBuildNs.Store(int64(time.Since(clsStart)))
-	f.view.Store(&ruleView{
-		set:     set,
-		foreign: foreign,
-		snap:    tbl.Snapshot(),
-		prog:    prog,
-	})
+	f.view.Store(f.compileDense(set, foreign))
 	f.syncMemory()
 	return nil
 }
 
 // SetForeign installs only the peer-rule view.
 func (f *Filter) SetForeign(foreign *rules.Set) {
-	v := f.view.Load()
-	f.view.Store(&ruleView{set: v.set, foreign: foreign, snap: v.snap, prog: v.prog, prios: v.prios})
+	v := *f.view.Load()
+	v.foreign = foreign
+	f.view.Store(&v)
 }
 
 // Delta is an incremental rule-set change for ReconfigureDelta: Removes
@@ -399,13 +381,13 @@ type Delta struct {
 	Foreign *rules.Set
 }
 
-// ReconfigureDelta applies an incremental rule-set change by diffing the
-// installed lookup snapshot (trie.Snapshot.Diff: untouched subtrees are
-// reused by reference, only the delta's root-to-anchor paths are copied)
-// and publishing the result with the same single atomic view store a full
+// ReconfigureDelta applies an incremental rule-set change by patching the
+// installed classifier (classify.Program.Delta: attributes the delta
+// leaves structurally intact share their tables by reference) and
+// publishing the result with the same single atomic view store a full
 // Reconfigure uses — so a 25k-rule tenant adding 50 prefixes pays for the
-// 50 paths, not a 25k-rule rebuild, and concurrent readers never observe
-// a torn table. Like Reconfigure it is a data-plane mutation and must not
+// 50 rules, not a 25k-rule recompile, and concurrent readers never
+// observe a torn table. Like Reconfigure it is a data-plane mutation and must not
 // run concurrently with the data-path methods; in engine mode use
 // Engine.ReconfigureNamespaceDelta, which applies it on the shard workers
 // at batch boundaries.
@@ -418,15 +400,17 @@ type Delta struct {
 // derive from the removed rules. Priorities grow monotonically across
 // deltas (adds never reuse a removed rule's slot); once the sparse
 // priority domain exceeds densifyFactor times the live rule count, the
-// delta transparently rebuilds the lookup table dense (same rule set,
+// delta transparently recompiles the classifier dense (same rule set,
 // identity priorities, survivor counters remapped) — so unbounded churn
 // on a long-lived engine cannot grow prios/ruleBytes without bound, and
 // no caller ever needs to leave engine mode to re-densify. The rebuild
 // is amortized: it recurs only after churn totalling
 // (densifyFactor-1)x the rule set.
 //
-// On error nothing changes. A failed or partially failed delta across a
-// fleet is repaired by a full Reconfigure, which remains the oracle path.
+// On error nothing changes. A delta that fails on part of a fleet is
+// rolled back by the engine (Engine.ReconfigureNamespaceDelta reinstalls
+// the pre-delta rules on the shards that applied it); a full Reconfigure
+// remains the oracle path the delta is tested against.
 func (f *Filter) ReconfigureDelta(d Delta) error {
 	view := f.view.Load()
 	if len(d.Adds) == 0 && len(d.Removes) == 0 {
@@ -437,7 +421,7 @@ func (f *Filter) ReconfigureDelta(d Delta) error {
 	}
 
 	// Resolve removes against the installed set by ID; the installed rule
-	// (not the caller's copy) anchors the trie removal.
+	// (not the caller's copy) is what the classifier patch removes.
 	removeIdx := make(map[uint32]int, len(d.Removes))
 	removes := make([]rules.Rule, 0, len(d.Removes))
 	for _, r := range d.Removes {
@@ -476,42 +460,35 @@ func (f *Filter) ReconfigureDelta(d Delta) error {
 	}
 	adds := newSet.Rules[len(survivors):]
 
+	foreign := view.foreign
+	if d.Foreign != nil {
+		foreign = d.Foreign
+	}
 	var (
-		snap      *trie.Snapshot
-		prog      *classify.Program
-		prios     []int32
+		next      *ruleView
 		ruleBytes []uint64
 	)
-	if int(view.snap.MaxPrio())+1+len(adds) > densifyFactor*newSet.Len() {
-		// The sparse priority domain has outgrown the rule set: rebuild
-		// dense instead of diffing. Same successor set, identity
+	if int(view.maxPrio)+1+len(adds) > densifyFactor*newSet.Len() {
+		// The sparse priority domain has outgrown the rule set: recompile
+		// dense instead of patching. Same successor set, identity
 		// priorities; survivor counters are remapped from their sparse
 		// slots, so the measurement window still rides through. Decisions
 		// are unchanged (identical rules in identical order), so the
-		// exact-table policy below applies exactly as on the diff path.
-		tbl, err := trie.New(f.cfg.Stride)
-		if err != nil {
-			return err
-		}
-		tbl.InsertSet(newSet)
-		snap = tbl.Snapshot()
-		clsStart := time.Now()
-		prog = classify.Compile(newSet.Rules, nil, int32(newSet.Len()-1))
-		f.clsBuildNs.Store(int64(time.Since(clsStart)))
+		// exact-table policy below applies exactly as on the patch path.
+		next = f.compileDense(newSet, foreign)
 		ruleBytes = make([]uint64, newSet.Len())
 		for i, p := range survivorPrios {
 			ruleBytes[i] = f.ruleBytes[p]
 		}
 	} else {
-		snap, err = view.snap.Diff(adds, removes)
-		if err != nil {
-			return err
-		}
-		prios = make([]int32, newSet.Len())
+		// Survivors keep their priorities; adds are numbered past every
+		// priority the lineage has ever used, in order, so they sort after
+		// all survivors and a removed rule's number is never reused.
+		prios := make([]int32, newSet.Len())
 		copy(prios, survivorPrios)
-		base := view.snap.MaxPrio() // Diff numbered adds base+1, base+2, ...
+		maxPrio := view.maxPrio + int32(len(adds))
 		for i := range adds {
-			prios[len(survivors)+i] = base + 1 + int32(i)
+			prios[len(survivors)+i] = view.maxPrio + 1 + int32(i)
 		}
 		// The classifier evolves incrementally too: attributes whose
 		// interval structure the delta leaves intact are patched (sharing
@@ -519,19 +496,20 @@ func (f *Filter) ReconfigureDelta(d Delta) error {
 		// changed index chunks; past the churn threshold the whole program
 		// recompiles.
 		clsStart := time.Now()
-		prog = view.prog.Delta(classify.Delta{
+		prog := view.prog.Delta(classify.Delta{
 			Rules:        newSet.Rules,
 			Prios:        prios,
-			MaxPrio:      snap.MaxPrio(),
+			MaxPrio:      maxPrio,
 			AddStart:     len(survivors),
 			RemovedRules: removes,
 			RemovedPrios: removedPrios,
 		})
 		f.clsBuildNs.Store(int64(time.Since(clsStart)))
+		next = &ruleView{set: newSet, foreign: foreign, prog: prog, prios: prios, maxPrio: maxPrio}
 		// Per-rule byte counters: survivors keep their (sparse-prio)
 		// slots, removed slots are zeroed so they can never leak into a
 		// future RuleBytes read, adds start fresh at the end.
-		ruleBytes = make([]uint64, snap.MaxPrio()+1)
+		ruleBytes = make([]uint64, maxPrio+1)
 		copy(ruleBytes, f.ruleBytes)
 		for _, i := range removeIdx {
 			ruleBytes[view.prio(i)] = 0
@@ -545,11 +523,7 @@ func (f *Filter) ReconfigureDelta(d Delta) error {
 		f.exactCount.Store(0)
 	}
 	f.ruleBytes = ruleBytes
-	foreign := view.foreign
-	if d.Foreign != nil {
-		foreign = d.Foreign
-	}
-	f.view.Store(&ruleView{set: newSet, foreign: foreign, snap: snap, prog: prog, prios: prios})
+	f.view.Store(next)
 	f.syncMemory()
 	return nil
 }
@@ -717,7 +691,7 @@ func (sc *batchScratch) lookupOrAdd(t packet.FiveTuple, h uint64) (int, bool) {
 // The burst is deduplicated by five-tuple: because the decision function
 // is stateless (Eq. 2), every packet of a flow within one burst must get
 // the same verdict, so the filter decides each distinct flow once and fans
-// the verdict out — a packet train costs one exact probe or trie walk, one
+// the verdict out — a packet train costs one exact probe or classifier probe, one
 // set of sketch row updates (weighted by the train length), and at most
 // one SHA-256 evaluation. All cost-model terms are accumulated into a
 // CostVector and charged to the enclave meter once per burst.
@@ -753,7 +727,7 @@ func (f *Filter) ProcessBatch(ds []packet.Descriptor, verdicts []Verdict) []Verd
 
 // Explain classifies one flow the way the data path would and reports
 // where the verdict came from: the learned exact table, an installed rule
-// (with its trie priority), or the default action (priority -1). It is
+// (with its classifier priority), or the default action (priority -1). It is
 // the packet-trace tap for live verdict disputes — pure like Decision,
 // but it surfaces the provenance Decision hides. Filter thread only (it
 // shares the reused hash state).
@@ -994,16 +968,14 @@ func (f *Filter) HashRatio() float64 {
 // exact-match entries).
 func (f *Filter) RuleCount() int { return f.view.Load().set.Len() }
 
-// RuleMemoryBytes returns the live size of the installed lookup
-// structures — trie snapshot plus compiled classifier — the rule-set
-// memory weight the multi-victim EPC budgeter apportions by. Both terms
-// are numbering-invariant (delta lineages report the same figure a fresh
-// rebuild of the same rules would; slack is charged to the EPC meter
-// separately). Safe to read while the data plane runs: both structures
-// are immutable and reached through one atomic pointer load.
+// RuleMemoryBytes returns the live size of the installed lookup structure
+// — the compiled classifier — the rule-set memory weight the multi-victim
+// EPC budgeter apportions by. It is numbering-invariant (a delta lineage
+// reports the same figure a fresh rebuild of the same rules would; slack
+// is charged to the EPC meter separately). Safe to read while the data
+// plane runs: the program is immutable behind one atomic pointer load.
 func (f *Filter) RuleMemoryBytes() int {
-	view := f.view.Load()
-	return view.snap.MemoryBytes() + view.prog.MemoryBytes()
+	return f.view.Load().prog.MemoryBytes()
 }
 
 // ExactEntries returns the number of learned exact-match entries. Safe to

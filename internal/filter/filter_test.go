@@ -1,6 +1,7 @@
 package filter
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -405,7 +406,10 @@ func TestThroughputDegradesWithRules(t *testing.T) {
 	// the per-node candidate scan, a non-matching packet short-circuits on
 	// its first empty attribute class and touches no footprint-dependent
 	// memory at all — the cliff is a property of the resident table size,
-	// observed through the references matching traffic makes into it.
+	// observed through the references matching traffic makes into it. The
+	// operating points straddle the default model's 8 MiB LLC: at 100,000
+	// /24 rules the compiled classifier (~8 MB) plus binary and logs is
+	// ~11.5 MB resident; at 100 rules everything fits.
 	perPacket := func(nRules int) float64 {
 		rng := rand.New(rand.NewSource(9))
 		rs := make([]rules.Rule, nRules)
@@ -436,18 +440,102 @@ func TestThroughputDegradesWithRules(t *testing.T) {
 		return f.Enclave().VirtualNs() / n
 	}
 	small := perPacket(100)
-	large := perPacket(20000)
+	large := perPacket(100000)
 	if large < small*2 {
-		t.Fatalf("20000 rules (%.0f ns/pkt) not meaningfully slower than 100 (%.0f ns/pkt)", large, small)
+		t.Fatalf("100000 rules (%.0f ns/pkt) not meaningfully slower than 100 (%.0f ns/pkt)", large, small)
 	}
 }
 
 func TestMemoryAccounting(t *testing.T) {
 	f := newFilter(t, Config{})
 	used := f.Enclave().MemoryUsed()
-	// Binary (1 MiB) + two 1 MiB sketches + table must all be charged.
+	// Binary (1 MiB) + two 1 MiB sketches + compiled classifier must all
+	// be charged; TestEPCMeterIdentity pins the exact sum.
 	if used < (1<<20)+2*(1<<20) {
 		t.Fatalf("MemoryUsed = %d, missing sketch/table charges", used)
+	}
+}
+
+// checkMeterIdentity asserts the two memory figures are exactly the sums
+// their docs state: the EPC meter charges the binary, the classifier's
+// retained bytes, the learned table, the pending queue and both sketches
+// — and nothing else — and the rule-memory weight is the classifier's
+// numbering-invariant live size.
+func checkMeterIdentity(t testing.TB, f *Filter, when string) {
+	t.Helper()
+	view := f.view.Load()
+	want := f.encl.Identity().BinarySize +
+		view.prog.RetainedBytes() +
+		f.exact.memoryBytes() +
+		len(f.pendingQ)*packet.KeySize +
+		f.inLog.MemoryBytes() + f.outLog.MemoryBytes()
+	if got := f.encl.MemoryUsed(); got != want {
+		t.Fatalf("%s: MemoryUsed = %d, want %d (binary + classifier + exact + pending + sketches)", when, got, want)
+	}
+	if got, want := f.RuleMemoryBytes(), view.prog.MemoryBytes(); got != want {
+		t.Fatalf("%s: RuleMemoryBytes = %d, want the classifier's %d", when, got, want)
+	}
+}
+
+// TestEPCMeterIdentity pins what the EPC meter charges at every point the
+// filter resynchronizes it: construction, promotion, a full reconfigure,
+// and a delta chain long enough to cross the densify bound.
+func TestEPCMeterIdentity(t *testing.T) {
+	f := newFilter(t, Config{})
+	checkMeterIdentity(t, f, "after New")
+
+	// Learned entries and a non-empty pending queue are both charged.
+	rng := rand.New(rand.NewSource(12))
+	for i := 0; i < 200; i++ {
+		f.Process(desc(httpFlow(rng.Uint32(), uint16(i+1)), 64))
+	}
+	if f.Promote() == 0 {
+		t.Fatal("nothing promoted")
+	}
+	checkMeterIdentity(t, f, "after Promote")
+	for i := 0; i < 50; i++ {
+		f.Process(desc(httpFlow(rng.Uint32(), uint16(i+1)), 64))
+	}
+	if f.PendingFlows() == 0 {
+		t.Fatal("no pending flows queued ahead of the delta")
+	}
+	if err := f.ReconfigureDelta(Delta{Adds: []rules.Rule{deltaRule(rng, 100, 0)}}); err != nil {
+		t.Fatal(err)
+	}
+	checkMeterIdentity(t, f, "after adds-only delta with pending flows")
+
+	var base []rules.Rule
+	for i := 0; i < 32; i++ {
+		base = append(base, deltaRule(rng, uint32(1000+i), 0))
+	}
+	set, err := rules.NewSet(base, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Reconfigure(set, nil); err != nil {
+		t.Fatal(err)
+	}
+	checkMeterIdentity(t, f, "after Reconfigure")
+
+	// 8-for-8 churn over 32 rules: the sparse domain passes 2x the set
+	// after a few rounds, so the chain takes both delta branches.
+	densified := false
+	prev, nextID := base[:8], uint32(5000)
+	for round := 0; round < 12; round++ {
+		adds := make([]rules.Rule, 8)
+		for i := range adds {
+			adds[i] = deltaRule(rng, nextID, 0)
+			nextID++
+		}
+		if err := f.ReconfigureDelta(Delta{Adds: adds, Removes: prev}); err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+		prev = adds
+		densified = densified || (round > 0 && f.view.Load().prios == nil)
+		checkMeterIdentity(t, f, fmt.Sprintf("after delta round %d", round))
+	}
+	if !densified {
+		t.Fatal("delta chain never crossed the densify bound")
 	}
 }
 
