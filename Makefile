@@ -9,13 +9,11 @@
 # overhead slice (telemetry-on wall Mpps ≥ 0.97x telemetry-off);
 # `make bench-isolation` runs just the overload-isolation slice (quiet
 # victims' wall Mpps with an admission-capped attacked neighbor ≥ 0.9x
-# their solo figure); `make bench-pipeline` runs just the module-pipeline
-# overhead slice (decomposed chain wall Mpps ≥ 0.97x the legacy fused
-# loop).
+# their solo figure).
 # `make bench-filter` refreshes BENCH_filter.json — the scalar-vs-batch
 # hot-path comparison (guarded at ≥2x batch speedup) plus the compiled
 # classifier's rule-count-invariance sweep (100k-rule ns/pkt guarded at
-# ≤2x its own 1k figure, with the trie scan path recorded alongside).
+# ≤2x its own 1k figure, with the paper's trie scan recorded alongside).
 # `make bench-classify` runs just that flatness slice.
 # `make bench-classify-probe` runs just the probe comparison — per-packet
 # binary search vs chunked direct-index tables probed breadth-first over
@@ -23,7 +21,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race bench bench-filter bench-classify bench-classify-probe bench-multivictim bench-telemetry bench-isolation bench-pipeline docs-check
+.PHONY: all build vet test race bench bench-filter bench-classify bench-classify-probe bench-multivictim bench-telemetry bench-isolation docs-check
 
 all: build vet test docs-check
 
@@ -59,9 +57,6 @@ bench-telemetry:
 
 bench-isolation:
 	ONLY=isolation ./scripts/bench_engine.sh BENCH_isolation.json
-
-bench-pipeline:
-	ONLY=pipeline ./scripts/bench_engine.sh BENCH_pipeline.json
 
 # Fails when an internal package lacks a package comment, a load-bearing
 # package lacks its doc.go contract, or docs/ files go missing/unlinked.

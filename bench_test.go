@@ -489,63 +489,6 @@ func BenchmarkEngineTelemetryOn(b *testing.B) {
 	benchmarkEngineTelemetry(b, telemetry.New(telemetry.Config{Shards: 2}))
 }
 
-// --- Module pipeline overhead: composability must stay off the hot path -------
-
-// benchmarkEngineModulePipeline holds the 2-shard wall-scaling workload
-// constant and varies only the worker inner loop: the legacy fixed loop
-// (one Fused module calling ProcessBatch) versus the default decomposed
-// classify→sketch→charge chain. The chain's extra bill per burst is the
-// module dispatch itself — a few interface calls and the shared BurstCtx
-// bookkeeping — so the CI gate holds chain wall pps at >= 0.97x legacy.
-// If the gate trips, per-burst composability has leaked per-packet work.
-func benchmarkEngineModulePipeline(b *testing.B, legacy bool) {
-	const shards = 2
-	set := benchRules(b, 3000, 0)
-	fs := make([]*filter.Filter, shards)
-	for i := range fs {
-		fs[i] = benchFilter(b, set, filter.CopyModeNearZero)
-	}
-	eng, err := engine.New(engine.Config{Filters: fs, LegacyLoop: legacy})
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := eng.Start(); err != nil {
-		b.Fatal(err)
-	}
-	defer eng.Stop()
-	descs := benchDescriptors(b, set, 64)
-	const burst = 256
-	var remaining atomic.Int64
-	remaining.Store(int64(b.N))
-	b.ResetTimer()
-	var wg sync.WaitGroup
-	for p := 0; p < shards; p++ {
-		wg.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			off := (p * burst) & 1023
-			for remaining.Load() > 0 {
-				win := descs[off : off+burst]
-				off = (off + burst) & 1023
-				k := eng.InjectBatch(win)
-				if k == 0 {
-					runtime.Gosched()
-					continue
-				}
-				remaining.Add(-int64(k))
-			}
-		}(p)
-	}
-	wg.Wait()
-	eng.WaitDrained()
-	b.StopTimer()
-	accepted := eng.Metrics().Accepted
-	b.ReportMetric(float64(accepted)/b.Elapsed().Seconds()/1e6, "wall-Mpps")
-}
-
-func BenchmarkEngineModulePipelineLegacy(b *testing.B) { benchmarkEngineModulePipeline(b, true) }
-func BenchmarkEngineModulePipelineChain(b *testing.B)  { benchmarkEngineModulePipeline(b, false) }
-
 // --- Multi-victim namespaces: dispatch must stay off the hot path -------------
 
 // benchmarkEngineMultiVictim holds the machine workload constant — two

@@ -114,12 +114,6 @@ type Config struct {
 	// shared across shards (chains are worker-owned). The capture tap
 	// rides here.
 	Modules func(shard int) []module.Module
-	// LegacyLoop runs every namespace chain as the pre-refactor fused
-	// loop — one Filter.ProcessBatch per namespace run — instead of the
-	// decomposed classify/sketch/charge stages. The differential
-	// equivalence suite and the pipeline-overhead benchmark use it as
-	// the fixed-loop oracle; production leaves it false.
-	LegacyLoop bool
 }
 
 func (c *Config) fillDefaults() {
@@ -206,9 +200,9 @@ type EpochLog struct {
 // per-burst updates stay on lines only the owning worker dirties.
 type nsShard struct {
 	f *filter.Filter
-	// chain is the cell's burst-module pipeline (the decomposed
-	// classify/sketch/charge stages plus any configured extras, or the
-	// legacy fused loop). Immutable once the cell is published; swapped
+	// chain is the cell's burst-module pipeline (the classify/sketch/
+	// charge stages plus any configured extras). Immutable once the cell
+	// is published; swapped
 	// with the copy-on-write views exactly like the filter, so a worker
 	// burst always runs one consistent (filter, chain) pair.
 	chain *module.Chain
@@ -560,15 +554,10 @@ func (e *Engine) buildNamespace(id int, cfg NamespaceConfig) (*namespace, error)
 		// Set before the view is published, so the store is ordered ahead
 		// of any worker ProcessBatch call.
 		f.SetStageRecorder(e.tel.Recorder(i))
-		// The cell's module chain: the decomposed core stages (or the
-		// legacy fused loop), then any configured extras. Built per cell
-		// so chains swap with the copy-on-write views.
-		var mods []module.Module
-		if e.cfg.LegacyLoop {
-			mods = append(mods, &module.Fused{F: f})
-		} else {
-			mods = append(mods, &module.Classify{F: f}, &module.Sketch{F: f}, &module.Charge{F: f})
-		}
+		// The cell's module chain: the core stages, then any configured
+		// extras. Built per cell so chains swap with the copy-on-write
+		// views.
+		mods := []module.Module{&module.Classify{F: f}, &module.Sketch{F: f}, &module.Charge{F: f}}
 		if cfg.Modules != nil {
 			mods = append(mods, cfg.Modules(i)...)
 		}

@@ -22,10 +22,11 @@ import (
 // engine and asserts the observable behavior is bit-identical to pinned
 // history under testdata/: per-shard verdict streams, every per-namespace
 // and engine counter, and the control-plane journal sequence. The
-// manifests were generated from the Config.LegacyLoop side of the
-// legacy-vs-chain differential suite this replaces, so a refactor of the
-// worker loop, the filter or the classifier diffs against the fused
-// loop's recorded behavior, not against a sibling sharing its code.
+// manifests were recorded from the pre-module fused worker loop (one
+// Filter.ProcessBatch per namespace run) in the commit before that loop
+// was deleted, so a refactor of the worker loop, the filter or the
+// classifier diffs against recorded history, not against a sibling
+// sharing its code.
 // Byte figures (rule memory, EPC shares) are deliberately not pinned: a
 // change to the lookup structures legitimately moves them, and the
 // filter package's memory-identity tests cover them.
@@ -279,10 +280,10 @@ func interleave(lists ...[]packet.Descriptor) []packet.Descriptor {
 
 // --- Workload 1: multi-victim steady state ---------------------------
 
-func runDiffMultiVictim(t *testing.T, legacy bool) diffOutcome {
+func runDiffMultiVictim(t *testing.T) diffOutcome {
 	t.Helper()
 	tel := diffTelemetry(2)
-	eng, err := New(Config{Shards: 2, RingSize: 1 << 14, Telemetry: tel, LegacyLoop: legacy})
+	eng, err := New(Config{Shards: 2, RingSize: 1 << 14, Telemetry: tel})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,16 +314,15 @@ func runDiffMultiVictim(t *testing.T, legacy bool) diffOutcome {
 // TestGoldenMultiVictim: three victims' interleaved traffic — verdict
 // streams per (ns, shard), counters and journal match pinned history.
 func TestGoldenMultiVictim(t *testing.T) {
-	diffGolden(t, "multi_victim", runDiffMultiVictim(t, false))
-	diffGolden(t, "multi_victim", runDiffMultiVictim(t, true)) // last, so -update pins the legacy loop
+	diffGolden(t, "multi_victim", runDiffMultiVictim(t))
 }
 
 // --- Workload 2: rule churn across live deltas -----------------------
 
-func runDiffChurn(t *testing.T, legacy bool) diffOutcome {
+func runDiffChurn(t *testing.T) diffOutcome {
 	t.Helper()
 	tel := diffTelemetry(2)
-	eng, err := New(Config{Shards: 2, RingSize: 1 << 14, Telemetry: tel, LegacyLoop: legacy})
+	eng, err := New(Config{Shards: 2, RingSize: 1 << 14, Telemetry: tel})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -379,17 +379,16 @@ func runDiffChurn(t *testing.T, legacy bool) diffOutcome {
 // TestGoldenChurn: two live rule deltas between traffic phases — the
 // module chains persist across delta swaps with the pinned verdicts.
 func TestGoldenChurn(t *testing.T) {
-	diffGolden(t, "churn", runDiffChurn(t, false))
-	diffGolden(t, "churn", runDiffChurn(t, true)) // last, so -update pins the legacy loop
+	diffGolden(t, "churn", runDiffChurn(t))
 }
 
 // --- Workload 3: overload under admission control --------------------
 
-func runDiffOverload(t *testing.T, legacy bool) diffOutcome {
+func runDiffOverload(t *testing.T) diffOutcome {
 	t.Helper()
 	tel := diffTelemetry(2)
 	eng, err := New(Config{
-		Shards: 2, RingSize: 1 << 14, Telemetry: tel, LegacyLoop: legacy,
+		Shards: 2, RingSize: 1 << 14, Telemetry: tel,
 		// Pinned bucket clock: no refill, so the token arithmetic — and
 		// therefore exactly which packets are throttled — is a pure
 		// function of the injection sequence.
@@ -425,18 +424,17 @@ func runDiffOverload(t *testing.T, legacy bool) diffOutcome {
 // next to an uncapped neighbor — the pinned admitted/throttled splits
 // and verdict streams for what got through.
 func TestGoldenOverload(t *testing.T) {
-	diffGolden(t, "overload", runDiffOverload(t, false))
-	diffGolden(t, "overload", runDiffOverload(t, true)) // last, so -update pins the legacy loop
+	diffGolden(t, "overload", runDiffOverload(t))
 }
 
 // --- Workload 4: fault schedules -------------------------------------
 
-func runDiffFaults(t *testing.T, legacy bool) diffOutcome {
+func runDiffFaults(t *testing.T) diffOutcome {
 	t.Helper()
 	tel := diffTelemetry(2)
 	in := faults.New(97)
 	in.Enable(faults.RingFull, faults.Spec{Prob: 0.25})
-	eng, err := New(Config{Shards: 2, RingSize: 1 << 14, Telemetry: tel, Faults: in, LegacyLoop: legacy})
+	eng, err := New(Config{Shards: 2, RingSize: 1 << 14, Telemetry: tel, Faults: in})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -485,6 +483,5 @@ func runDiffFaults(t *testing.T, legacy bool) diffOutcome {
 // TestGoldenFaults: a seeded ring-full storm plus a failing delta's
 // rollback — loss and repair behave as pinned.
 func TestGoldenFaults(t *testing.T) {
-	diffGolden(t, "faults", runDiffFaults(t, false))
-	diffGolden(t, "faults", runDiffFaults(t, true)) // last, so -update pins the legacy loop
+	diffGolden(t, "faults", runDiffFaults(t))
 }

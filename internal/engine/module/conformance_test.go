@@ -146,17 +146,6 @@ func TestConformance(t *testing.T) {
 		}
 	})
 
-	t.Run("fused", func(t *testing.T) {
-		// The legacy-loop module: requires an unmasked burst (PreMask off —
-		// the fixed loop predates the mask).
-		moduletest.Run(t, moduletest.Config{
-			New: func(t *testing.T) module.Module {
-				return &module.Fused{F: confFilter(t, 64)}
-			},
-			VerdictStage: true,
-		})
-	})
-
 	t.Run("admission-uncapped", func(t *testing.T) {
 		moduletest.Run(t, moduletest.Config{
 			New: func(t *testing.T) module.Module {

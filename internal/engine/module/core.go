@@ -7,10 +7,9 @@ import (
 
 // The core stages: the paper's fixed in-enclave sequence (classify →
 // sketch/audit charge → verdict) decomposed onto the filter's burst
-// halves. A default chain is [Classify, Sketch, Charge]; the legacy
-// fused loop is [Fused]. Both orderings run the identical filter code
-// (burst.go is the split of ProcessBatch), which is what the
-// differential equivalence suite pins down.
+// halves (filter/burst.go). The engine's default chain is [Classify,
+// Sketch, Charge]; its observable behavior is pinned by the golden suite
+// in internal/engine.
 
 // Classify is the verdict stage: it decides the burst via
 // Filter.ClassifyBurst and fans one verdict out per packet. Packets
@@ -100,24 +99,3 @@ func (m *Charge) ProcessBurst(ctx *BurstCtx) { m.F.ChargeBurst() }
 
 // Flush implements Module: ChargeBurst is idempotent per staged burst.
 func (m *Charge) Flush() { m.F.ChargeBurst() }
-
-// Fused is the pre-refactor fixed loop as a single module: one
-// Filter.ProcessBatch call doing classify + apply + charge, with the
-// filter's own internal stage sampling. It is the differential suite's
-// oracle and the Legacy benchmark baseline. Fused ignores the drop mask
-// (the fixed loop predates it); chains using masks must use the split
-// stages.
-type Fused struct {
-	F *filter.Filter
-}
-
-// Name implements Module.
-func (m *Fused) Name() string { return "fused" }
-
-// ProcessBurst implements Module.
-func (m *Fused) ProcessBurst(ctx *BurstCtx) {
-	ctx.Verdicts = m.F.ProcessBatch(ctx.Pkts, ctx.Verdicts)
-}
-
-// Flush implements Module (ProcessBatch leaves nothing staged).
-func (m *Fused) Flush() {}

@@ -5,8 +5,9 @@
 # scaling (BenchmarkEngineMultiVictim{1,4,16}) and the rule-reinstall
 # latency sweep — full rebuild (BenchmarkReconfigure{1k,10k,25k}) against
 # incremental delta reinstall (BenchmarkReconfigureDelta{1k,10k,25k}, a
-# ≤1%-of-rules changeset through trie snapshot diffing) — and writes the
-# results as JSON so the performance trajectory accumulates across PRs.
+# ≤1%-of-rules changeset through the classifier's incremental patch) —
+# and writes the results as JSON so the performance trajectory
+# accumulates across PRs.
 # Usage:
 #
 #   scripts/bench_engine.sh [output.json]     # default BENCH_engine.json
@@ -17,8 +18,6 @@
 #                                             # (make bench-telemetry)
 #   ONLY=isolation scripts/bench_engine.sh    # just the overload-isolation
 #                                             # gate (make bench-isolation)
-#   ONLY=pipeline scripts/bench_engine.sh     # just the module-pipeline
-#                                             # gate (make bench-pipeline)
 #
 # Two quantities are recorded per shard count and must not be confused:
 #
@@ -74,25 +73,13 @@
 #                       — not host parallelism. If this gate trips, the
 #                       admission gate is leaking flood work onto the
 #                       shared rings or filters.
-#   pipeline_overhead_ge_097
-#                       wall Mpps with the worker inner loop decomposed
-#                       into the classify→sketch→charge module chain must
-#                       stay >= 0.97x the legacy fused loop on the same
-#                       2-shard workload. Enforced always: the chain's
-#                       extra per-burst bill is a few interface dispatches
-#                       and the shared BurstCtx bookkeeping — none of it
-#                       per-packet and none of it host-dependent. Like the
-#                       telemetry gate, each side runs PIPELINE_COUNT
-#                       times (default 3) and the gate compares best-of to
-#                       keep 1-CPU scheduling noise out of a 3% margin.
 #   delta_5x_10k        a ≤1%-of-rules delta reinstall at 10k rules must
 #   delta_5x_25k        be >= 5x faster than the full rebuild at the same
 #                       size (ditto at 25k). Enforced always: the speedup
-#                       is a serial work reduction (path copies instead of
-#                       re-inserting every rule), host-independent. This
-#                       is the ROADMAP's "snapshot-level trie diffing"
-#                       number-to-beat, gated so it can never regress to a
-#                       hidden full rebuild.
+#                       is a serial work reduction (patching the touched
+#                       interval tables instead of recompiling every
+#                       rule), host-independent, gated so the delta path
+#                       can never regress to a hidden full rebuild.
 set -e
 
 out="${1:-BENCH_engine.json}"
@@ -112,7 +99,7 @@ else
 fi
 
 : > "$tmp"
-if [ "$only" != "telemetry" ] && [ "$only" != "pipeline" ]; then
+if [ "$only" != "telemetry" ]; then
     go test -run '^$' -bench "$pattern" \
         -benchtime "$benchtime" -count 1 . | tee -a "$tmp"
 fi
@@ -125,23 +112,15 @@ if [ -z "$only" ] || [ "$only" = "telemetry" ]; then
         -benchtime "$benchtime" -count "${TELEMETRY_COUNT:-3}" . | tee -a "$tmp"
 fi
 
-# The module-pipeline pair (legacy fused loop vs decomposed chain) gets
-# the same best-of treatment as telemetry, for the same reason.
-if [ -z "$only" ] || [ "$only" = "pipeline" ]; then
-    go test -run '^$' -bench 'BenchmarkEngineModulePipeline' \
-        -benchtime "$benchtime" -count "${PIPELINE_COUNT:-3}" . | tee -a "$tmp"
-fi
-
 # The Reconfigure sweeps get their own iteration budgets: a 25k-rule
 # reinstall costs tens of milliseconds, so the packet-scale benchtime
 # above would run it for an hour. A handful of iterations is plenty for a
-# whole-table-rebuild measurement. The DELTA sweep needs more: Diff's
-# slack compaction first fires after ~20-30 consecutive 1% deltas, and the
-# filter's priority-domain densify rebuild after ~100 (churn totalling
-# (densifyFactor-1)x the rule set), so the gated mean must span at least
-# one full cycle of BOTH amortized costs to price steady-state churn
-# honestly rather than the best case — 120 iterations covers it at every
-# rule count.
+# whole-table-rebuild measurement. The DELTA sweep needs more: the
+# filter's priority-domain densify recompile fires after ~100 consecutive
+# 1% deltas (churn totalling (densifyFactor-1)x the rule set), so the
+# gated mean must span at least one full cycle of that amortized cost to
+# price steady-state churn honestly rather than the best case — 120
+# iterations covers it at every rule count.
 if [ -z "$only" ]; then
     go test -run '^$' -bench 'BenchmarkReconfigure(1k|10k|25k)$' \
         -benchtime "${RECONF_BENCHTIME:-10x}" -count 1 . | tee -a "$tmp"
@@ -223,14 +202,6 @@ awk -v benchtime="$benchtime" -v only="$only" \
     }
     next
 }
-/^BenchmarkEngineModulePipelineLegacy/ {
-    for (i = 2; i < NF; i++) if ($(i+1) == "wall-Mpps" && $i + 0 > pipelegacy) pipelegacy = $i + 0
-    next
-}
-/^BenchmarkEngineModulePipelineChain/ {
-    for (i = 2; i < NF; i++) if ($(i+1) == "wall-Mpps" && $i + 0 > pipechain) pipechain = $i + 0
-    next
-}
 /^BenchmarkEngineTelemetryOff/ {
     for (i = 2; i < NF; i++) if ($(i+1) == "wall-Mpps" && $i + 0 > teloff) teloff = $i + 0
 }
@@ -250,20 +221,6 @@ END {
     telgate = (telratio >= 0.97) ? "pass" : "FAIL"
     isoratio = (isosolo > 0 && isoatk > 0) ? isoatk / isosolo : 0
     isogate = (isoratio >= 0.9) ? "pass" : "FAIL"
-    piperatio = (pipelegacy > 0 && pipechain > 0) ? pipechain / pipelegacy : 0
-    pipegate = (piperatio >= 0.97) ? "pass" : "FAIL"
-
-    if (only == "pipeline") {
-        printf "{\n"
-        printf "  \"benchmark\": \"BenchmarkEngineModulePipeline\",\n"
-        printf "  \"benchtime\": \"%s\",\n", benchtime
-        printf "  \"host_cpus\": %d,\n", shcpus
-        printf "  \"go_version\": \"%s\",\n", gover
-        printf "  \"pipeline\": {\"legacy_mpps\": %.3f, \"chain_mpps\": %.3f, \"chain_over_legacy\": %.3f},\n", pipelegacy, pipechain, piperatio
-        printf "  \"gates\": {\"pipeline_overhead_ge_097\": \"%s\"}\n", pipegate
-        printf "}\n"
-        exit
-    }
 
     if (only == "isolation") {
         printf "{\n"
@@ -339,12 +296,11 @@ END {
     printf "  \"delta_speedup\": {\"10k\": %.1f, \"25k\": %.1f},\n", d10, d25
     printf "  \"inject\": {\"scalar_mpps\": %s, \"batch_mpps\": %s, \"batch_over_scalar\": %.2f},\n", scalar, batch, injratio
     printf "  \"telemetry\": {\"off_mpps\": %s, \"on_mpps\": %s, \"on_over_off\": %.3f},\n", teloff, telon, telratio
-    printf "  \"pipeline\": {\"legacy_mpps\": %.3f, \"chain_mpps\": %.3f, \"chain_over_legacy\": %.3f},\n", pipelegacy, pipechain, piperatio
     printf "  \"isolation\": {\"solo_quiet_mpps\": %.3f, \"attacked_quiet_mpps\": %.3f, \"attacked_over_solo\": %.3f, \"attacker_throttled\": %.0f},\n", isosolo, isoatk, isoratio, isothr
     printf "  \"wall_scaling_4_over_1\": %.2f,\n", wallscale
     printf "  \"multivictim_4_over_1\": %.2f,\n", mvratio
     printf "  \"aggregate_scaling_8_over_1\": %.2f,\n", aggscale
-    printf "  \"gates\": {\"inject_batch_2x\": \"%s\", \"wall_4_gt_1\": \"%s\", \"multivictim_4_ge_07\": \"%s\", \"telemetry_overhead_ge_097\": \"%s\", \"pipeline_overhead_ge_097\": \"%s\", \"quiet_victim_ge_09\": \"%s\", \"delta_5x_10k\": \"%s\", \"delta_5x_25k\": \"%s\"}\n", injgate, wallgate, mvgate, telgate, pipegate, isogate, d10gate, d25gate
+    printf "  \"gates\": {\"inject_batch_2x\": \"%s\", \"wall_4_gt_1\": \"%s\", \"multivictim_4_ge_07\": \"%s\", \"telemetry_overhead_ge_097\": \"%s\", \"quiet_victim_ge_09\": \"%s\", \"delta_5x_10k\": \"%s\", \"delta_5x_25k\": \"%s\"}\n", injgate, wallgate, mvgate, telgate, isogate, d10gate, d25gate
     printf "}\n"
 }' "$tmp" > "$out"
 
