@@ -549,11 +549,6 @@ func (e *Engine) buildNamespace(id int, cfg NamespaceConfig) (*namespace, error)
 		}
 		t := &nsShard{f: f, sink: cfg.Sink}
 		t.baseVirtualNs.Store(math.Float64bits(f.Enclave().VirtualNs()))
-		// Each filter gets its own recorder into its shard's stage block
-		// (the filter thread and the worker thread must not share one).
-		// Set before the view is published, so the store is ordered ahead
-		// of any worker ProcessBatch call.
-		f.SetStageRecorder(e.tel.Recorder(i))
 		// The cell's module chain: the core stages, then any configured
 		// extras. Built per cell so chains swap with the copy-on-write
 		// views.
@@ -712,11 +707,9 @@ func (e *Engine) DetachNamespace(id int) (NamespaceMetrics, error) {
 	if budget := e.budget.Load(); budget != nil {
 		final.EPCShareBytes = budget.Share(id)
 	}
-	// The filters leave the engine's ownership: lift their tenant EPC cap
-	// and detach their stage recorders.
+	// The filters leave the engine's ownership: lift their tenant EPC cap.
 	for _, t := range ns.shards {
 		t.f.Enclave().SetEPCBudget(0)
-		t.f.SetStageRecorder(nil)
 	}
 	if budget := e.budget.Load(); budget != nil {
 		budget.Remove(id)
@@ -812,7 +805,6 @@ func (e *Engine) ReconfigureNamespace(id int, cfg NamespaceConfig) error {
 		t.epochs.Add(o.epochs.Load())
 		t.promoted.Add(o.promoted.Load())
 		o.f.Enclave().SetEPCBudget(0)
-		o.f.SetStageRecorder(nil)
 	}
 	if ns.adm != nil && old.adm != nil {
 		// Per-victim SLO counters ride through a full reconfigure like the

@@ -10,8 +10,8 @@ import (
 // pieces ProcessBatch fuses, split so the engine's module chain can run
 // them as separate pipeline stages (and interpose other modules between
 // them) without changing what any one stage does. ProcessBatch remains the
-// fused composition and is the behavioral oracle: classify, then apply,
-// then charge, over the same staged state.
+// fused composition for serial callers: classify, then apply, then charge,
+// over the same staged state.
 //
 // Staging discipline: ClassifyBurst decides the burst and leaves the flow
 // entries plus the accumulated cost vector staged on the filter.
@@ -35,9 +35,8 @@ type burstState struct {
 // (exact table, compiled classifier, default action, probabilistic hash),
 // and fans verdicts out per descriptor. The per-flow entries and the cost
 // vector stay staged on the filter for ApplyBurst/ChargeBurst; nothing is
-// logged or charged yet. Unlike ProcessBatch it never touches the stage
-// recorder — when the engine runs the decomposed stages, the module chain
-// owns stage timing.
+// logged or charged yet. The filter times nothing itself: the engine's
+// module chain owns stage timing.
 func (f *Filter) ClassifyBurst(ds []packet.Descriptor, verdicts []Verdict) []Verdict {
 	n := len(ds)
 	if cap(verdicts) < n {

@@ -15,7 +15,6 @@ import (
 	"github.com/innetworkfiltering/vif/internal/packet"
 	"github.com/innetworkfiltering/vif/internal/rules"
 	"github.com/innetworkfiltering/vif/internal/sketch"
-	"github.com/innetworkfiltering/vif/internal/telemetry"
 )
 
 // Verdict is the filter's per-packet decision.
@@ -239,13 +238,6 @@ type Filter struct {
 	// the filter thread.
 	burst burstState
 
-	// rec, when set, samples 1-in-N ProcessBatch calls and splits the
-	// sampled burst's time into the verdict and charge stage histograms.
-	// Owned by whichever single thread drives the data path (the filter-
-	// thread discipline all data-path methods already require), so the
-	// recorder's sampling counter needs no atomics.
-	rec *telemetry.StageRecorder
-
 	// procBuf/procVerdicts back the one-packet Process wrapper.
 	procBuf      [1]packet.Descriptor
 	procVerdicts []Verdict
@@ -287,12 +279,6 @@ func (f *Filter) compileDense(set, foreign *rules.Set) *ruleView {
 
 // Enclave returns the hosting enclave (for attestation and metering).
 func (f *Filter) Enclave() *enclave.Enclave { return f.encl }
-
-// SetStageRecorder installs (or, with nil, removes) the stage-timing
-// recorder ProcessBatch samples into. Like the data-path methods it must
-// not race them: the engine sets it at attach, before workers can see the
-// filter, and clears it after the detach fence.
-func (f *Filter) SetStageRecorder(r *telemetry.StageRecorder) { f.rec = r }
 
 // Rules returns the installed shard.
 func (f *Filter) Rules() *rules.Set { return f.view.Load().set }
@@ -699,29 +685,9 @@ func (f *Filter) ProcessBatch(ds []packet.Descriptor, verdicts []Verdict) []Verd
 	if len(ds) == 0 {
 		return verdicts[:0]
 	}
-
-	// Stage timing: 1-in-N bursts pay two extra clock reads per stage;
-	// the rest pay one counter increment in Sample. The split point is
-	// verdict (dedup + classify) vs charge (applyBatch + meter) — the same
-	// boundary the decomposed burst stages in burst.go expose.
-	sampled := f.rec.Sample()
-	var verdictStart time.Time
-	if sampled {
-		verdictStart = time.Now()
-	}
-
 	verdicts = f.ClassifyBurst(ds, verdicts)
-
-	var chargeStart time.Time
-	if sampled {
-		chargeStart = time.Now()
-		f.rec.Record(telemetry.StageVerdict, chargeStart.Sub(verdictStart))
-	}
 	f.ApplyBurst()
 	f.ChargeBurst()
-	if sampled {
-		f.rec.Record(telemetry.StageCharge, time.Since(chargeStart))
-	}
 	return verdicts
 }
 
