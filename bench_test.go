@@ -671,12 +671,10 @@ func BenchmarkEngineIsolationAttacked(b *testing.B) { benchmarkEngineIsolation(b
 
 // --- Filter.Reconfigure latency vs rule-set size -------------------------------
 
-// benchmarkReconfigure times a full rule-set reinstall — trie rebuild,
-// exact-table reset, view swap — at growing rule counts. Reconfigure
-// currently rebuilds the whole snapshot, so ns/op here is the baseline
-// the ROADMAP's snapshot-level trie-diffing item has to beat; recorded in
-// BENCH_engine.json so the trajectory is pinned before the incremental
-// builder lands.
+// benchmarkReconfigure times a full rule-set reinstall — classifier
+// compile, exact-table reset, view swap — at growing rule counts. ns/op
+// here is the baseline the incremental ReconfigureDelta path below has to
+// beat; recorded in BENCH_engine.json.
 func benchmarkReconfigure(b *testing.B, k int) {
 	set := benchRules(b, k, 0)
 	e, err := enclave.New(enclave.CodeIdentity{
@@ -706,15 +704,14 @@ func BenchmarkReconfigure25k(b *testing.B) { benchmarkReconfigure(b, 25000) }
 // benchmarkReconfigureDelta is the incremental counterpart: the same
 // filter sizes, but each iteration pushes a ≤1%-of-rules changeset
 // (remove the previous iteration's batch, add a fresh one) through
-// ReconfigureDelta — trie.Snapshot.Diff reusing untouched subtrees —
-// instead of rebuilding the table. The full-rebuild numbers above are the
-// baseline this must beat: scripts/bench_engine.sh gates the 10k and 25k
-// ratios at ≥5x. The iteration budget matters: Diff's slack compaction
-// first fires after ~20-30 consecutive 1% deltas and the filter's
-// priority-domain densify rebuild after ~100, so the script runs this
-// sweep at 120 iterations (DELTA_BENCHTIME) precisely so the gated mean
-// spans at least one cycle of both amortized costs — steady-state churn,
-// not the best case.
+// ReconfigureDelta — classify.Program.Delta patching the touched
+// interval tables — instead of recompiling. The full-rebuild numbers
+// above are the baseline this must beat: scripts/bench_engine.sh gates
+// the 10k and 25k ratios at ≥1.5x. The iteration budget matters: the
+// filter's priority-domain densify recompile fires after ~100
+// consecutive 1% deltas, so the script runs this sweep at 120 iterations
+// (DELTA_BENCHTIME) precisely so the gated mean spans at least one cycle
+// of that amortized cost — steady-state churn, not the best case.
 func benchmarkReconfigureDelta(b *testing.B, k int) {
 	set := benchRules(b, k, 0)
 	e, err := enclave.New(enclave.CodeIdentity{
@@ -997,7 +994,7 @@ func BenchmarkClassifyProbeNew(b *testing.B) {
 }
 
 // benchmarkTrieScanPath is the side-by-side baseline: the same rule sets
-// and the same matching tuples through the retained trie's lookup, whose
+// and the same matching tuples through the paper's trie lookup, whose
 // per-node candidate scan grows with k/256 on this shape. Recorded next to
 // the classify numbers in BENCH_filter.json so the superlinear degradation
 // the classifier removes stays visible, not just asserted.

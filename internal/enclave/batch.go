@@ -26,7 +26,7 @@ type CostVector struct {
 	SHA256Hashes int
 	SHA256Bytes  int
 	// HotRefs counts lookup-table references priced as cache hits (the
-	// upper trie levels every packet touches).
+	// index roots every packet touches).
 	HotRefs int
 	// ColdRefs counts footprint-dependent references at enclave (MEE/EPC)
 	// rates; NativeColdRefs the same at no-SGX rates.

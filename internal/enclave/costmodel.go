@@ -46,8 +46,9 @@ type CostModel struct {
 	MemRefNs float64
 
 	// HotVisits is the number of lookup-table accesses per packet assumed
-	// cache-resident regardless of table size (the upper trie levels,
-	// which every packet touches and which therefore never leave cache).
+	// cache-resident regardless of table size (the classifier's index
+	// roots; for the paper's structure, the upper trie levels — what
+	// every packet touches and which therefore never leaves cache).
 	HotVisits int
 
 	// MEEMissNs prices an enclave LLC miss: the line is fetched from DRAM

@@ -23,7 +23,7 @@ type CodeIdentity struct {
 	// Version of the filter implementation.
 	Version string
 	// Config is the canonical encoding of security-relevant configuration
-	// baked into the enclave (sketch geometry, trie stride). Two enclaves
+	// baked into the enclave (sketch geometry, hash function). Two enclaves
 	// with different filtering semantics must measure differently.
 	Config string
 	// BinarySize is the enclave binary size in bytes; attestation latency

@@ -34,7 +34,7 @@
 //     enclave MAC key) so merged per-epoch snapshots form a consistent
 //     audit window; rotations of different namespaces run concurrently.
 //   - ReconfigureNamespaceDelta applies an incremental rule changeset
-//     (filter.ReconfigureDelta, trie snapshot diffing underneath) on the
+//     (filter.ReconfigureDelta, a classifier patch underneath) on the
 //     worker goroutine — the live rule-update path that must not stall
 //     the enclave data path (§IV). ReconfigureNamespace remains the
 //     full-rebuild fallback and oracle.

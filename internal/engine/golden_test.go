@@ -211,8 +211,8 @@ func (o diffOutcome) manifest() string {
 	return fmt.Sprintf("%ssha256 %x\n", b.String(), sha256.Sum256([]byte(b.String())))
 }
 
-// diffGolden asserts a run's manifest equals testdata/golden_<name>.txt,
-// reporting the first diverging line (or rewrites the file under -update).
+// diffGolden asserts a run's manifest equals testdata/golden_<name>.txt
+// (or rewrites the file under -update).
 func diffGolden(t *testing.T, name string, out diffOutcome) {
 	t.Helper()
 	// A vacuous equivalence proves nothing: require real traffic with
@@ -232,21 +232,8 @@ func diffGolden(t *testing.T, name string, out diffOutcome) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got == string(want) {
-		return
-	}
-	gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
-	for i := 0; i < len(gl) || i < len(wl); i++ {
-		var g, w string
-		if i < len(gl) {
-			g = gl[i]
-		}
-		if i < len(wl) {
-			w = wl[i]
-		}
-		if g != w {
-			t.Fatalf("%s line %d diverges from pinned history:\n got: %s\nwant: %s", path, i+1, g, w)
-		}
+	if got != string(want) {
+		t.Fatalf("%s diverges from pinned history:\n--- got\n%s--- want\n%s", path, got, want)
 	}
 }
 

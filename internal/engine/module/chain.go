@@ -14,8 +14,7 @@ import (
 // histograms (the verdict stage maps to StageVerdict, the sketch and
 // charge stages to StageCharge). The chain resolves it once at
 // construction; durations of modules sharing a stage are summed so a
-// sampled burst still contributes exactly one observation per stage —
-// the same shape the fused pre-refactor path recorded.
+// sampled burst still contributes exactly one observation per stage.
 type Stager interface {
 	TelemetryStage() telemetry.Stage
 }

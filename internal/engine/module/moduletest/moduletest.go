@@ -46,8 +46,7 @@ type Config struct {
 	PreVerdict bool
 	// PreMask, when set, pre-marks a deterministic subset of packets
 	// dropped before some calls, exercising the mask-discipline checks.
-	// Leave false for modules whose contract requires an unmasked burst
-	// (the fused legacy loop).
+	// Leave false for modules whose contract requires an unmasked burst.
 	PreMask bool
 	// Seed varies the generated workload (0 = fixed default).
 	Seed int64

@@ -28,13 +28,22 @@
 // Rule installation has two speeds, both publishing with ONE atomic
 // view-pointer store so readers never see a torn table:
 //
-//   - Reconfigure rebuilds the lookup snapshot from scratch (the oracle
-//     path; resets learned state and counters);
+//   - Reconfigure compiles the classifier from scratch under dense
+//     priorities 0..n-1 (the oracle path; resets learned state and
+//     counters);
 //   - ReconfigureDelta applies an incremental changeset via
-//     trie.Snapshot.Diff — untouched subtrees are reused, only the
-//     delta's paths are copied — so live mid-attack rule updates cost the
-//     delta, not the rule count. Surviving rules keep their byte
-//     counters; learned exact-match entries survive adds-only deltas.
+//     classify.Program.Delta — survivors keep their priorities, adds are
+//     numbered after every priority the lineage has used, untouched
+//     attribute tables are shared by reference — so live mid-attack rule
+//     updates cost the delta, not the rule count. Surviving rules keep
+//     their byte counters; learned exact-match entries survive adds-only
+//     deltas.
+//
+// The compiled classifier is the one lookup structure a rule set has: it
+// is what packets probe, what RuleMemoryBytes weighs, and what the EPC
+// meter charges. ProcessBatch is ClassifyBurst → ApplyBurst → ChargeBurst
+// (burst.go) and times nothing; stage timing belongs to the engine's
+// module chain.
 //
 // # Concurrency contract
 //
@@ -54,9 +63,12 @@
 //   - Statelessness (Eq. 2): calling Decision any number of times, in any
 //     order, yields identical verdicts; promotion is a pure performance
 //     optimization and cannot change any decision.
-//   - View atomicity: set, foreign set, trie snapshot, and the
-//     priority map travel in one ruleView value; no reader can pair a
-//     rule set with the wrong lookup table.
+//   - View atomicity: set, foreign set, compiled classifier, priority
+//     map and priority counter travel in one ruleView value; no reader
+//     can pair a rule set with the wrong lookup table.
+//   - Priority allocation: priorities are strictly increasing in
+//     installed order and never reused within a lineage; the domain is
+//     bounded by densifyFactor x the live rules.
 //   - Delta equivalence: after ReconfigureDelta the filter is verdict-
 //     equivalent to a filter fully Reconfigured with the successor set
 //     (survivors in order + adds appended), with identical

@@ -17,7 +17,7 @@ const (
 	// next successful burst dequeue — ring starvation, not processing.
 	StageDequeueWait Stage = iota
 	// StageVerdict is the filter's per-burst classify + dedup loop
-	// (exact-table hit or trie walk per fresh flow).
+	// (exact-table hit or classifier probe per fresh flow).
 	StageVerdict
 	// StageCharge is the batched bookkeeping after verdicts are known:
 	// sketch AddMany, per-rule byte accounting, and the single enclave

@@ -7,7 +7,8 @@
 #     engine/module, filter, pipeline, enclave, lb, telemetry, faults) is
 #     missing its dedicated doc.go — the file that states
 #     the package's role, concurrency contract, and invariants;
-#   - a required docs/ file is gone, or README stopped linking it.
+#   - a required docs/ file is gone, or README stopped linking it;
+#   - README or docs/ name a `make <target>` the Makefile does not define.
 #
 # This keeps the documentation layer from silently rotting: a PR that adds
 # an internal package without saying what it is, or deletes a contract
@@ -42,6 +43,13 @@ for f in docs/ARCHITECTURE.md docs/BENCHMARKS.md docs/OBSERVABILITY.md; do
         fail=1
     elif ! grep -q "$f" README.md; then
         echo "docs-check: README.md does not link $f" >&2
+        fail=1
+    fi
+done
+
+for t in $(grep -ohE 'make [a-z][a-z0-9-]*' README.md docs/*.md | awk '{print $2}' | sort -u); do
+    if ! grep -q "^$t:" Makefile; then
+        echo "docs-check: README/docs name \`make $t\`, which the Makefile does not define" >&2
         fail=1
     fi
 done

@@ -234,19 +234,19 @@ func (s *Session) Reconfigure() error {
 
 // ReconfigureDelta pushes an incremental rule-set change — "add these
 // prefixes, drop those" — without rerunning the optimizer or spawning
-// enclaves: each member filter diffs its immutable trie snapshot
-// (reusing untouched subtrees, copying only the delta's paths — the
-// data-plane table update is O(delta), with amortized compaction and
-// densify rebuilds bounding slack and priority growth), removals are
-// routed to every shard holding the rule, adds are placed greedily on
-// the lightest member, and the balancer programme is rebuilt to cover
-// the new set. Planning itself is O(rules) control-plane map/copy work
-// (membership, foreign views, shares — no trie work); what a full
-// Reconfigure additionally pays and a delta skips is the optimizer, N
-// trie rebuilds, learned-state loss, and — since the fleet never changes
-// shape — the whole re-attestation round. That is what makes mid-attack
-// rule updates a data-plane-speed operation (§IV: updates must not stall
-// the enclave path).
+// enclaves: each member filter patches its immutable compiled
+// classifier (sharing untouched attribute tables, patching only the
+// intervals the delta touches, with an amortized densify recompile
+// bounding priority growth), removals are routed to every shard holding
+// the rule, adds are placed greedily on the lightest member, and the
+// balancer programme is rebuilt to cover the new set. Planning itself is
+// O(rules) control-plane map/copy work (membership, foreign views,
+// shares — no lookup-table work); what a full Reconfigure additionally
+// pays and a delta skips is the optimizer, N classifier recompiles,
+// learned-state loss, and — since the fleet never changes shape — the
+// whole re-attestation round. That is what makes mid-attack rule updates
+// a data-plane-speed operation (§IV: updates must not stall the enclave
+// path).
 //
 // Unlike the serial-only Reconfigure, this works in BOTH modes: serially
 // it applies directly to the fleet; in engine mode (private or attached

@@ -76,7 +76,7 @@ func FilterIdentity() CodeIdentity {
 	return enclave.CodeIdentity{
 		Name:       "vif-filter",
 		Version:    "1.0.0",
-		Config:     "sketch=2x65536;trie-stride=8;hash=sha256",
+		Config:     "sketch=2x65536;hash=sha256",
 		BinarySize: 1 << 20,
 	}
 }
