@@ -356,6 +356,12 @@ func defaultWord(allow bool) string {
 	return "drop"
 }
 
+// parkedPct is the share of the run a shard's worker spent parked at the
+// end of its idle ladder — how far below saturation the shard ran.
+func parkedPct(sm engine.ShardMetrics, elapsed time.Duration) float64 {
+	return 100 * float64(sm.ParkedNs) / float64(elapsed)
+}
+
 // victimBase picks the destination prefix traffic should target: the first
 // rule's destination, falling back to TEST-NET-1.
 func victimBase(set *rules.Set) uint32 {
@@ -532,8 +538,8 @@ func runEngine(out io.Writer, set *rules.Set, mode filter.CopyMode, n, producers
 		eng.AggregateModeledPps(size)/1e6,
 		pipeline.ThroughputBps(eng.AggregateModeledPps(size), size)/1e9, size)
 	for _, sm := range m.Shards {
-		fmt.Fprintf(out, "  shard %d: processed %d (%.2f Mpps), allowed %d, dropped %d, backpressure %d, queue %d, avg batch %.1f, %.0f ns/pkt modeled\n",
-			sm.Shard, sm.Processed, sm.PPS/1e6, sm.Allowed, sm.Dropped, sm.Backpressure, sm.QueueDepth, sm.AvgBatch, sm.NsPerPacket)
+		fmt.Fprintf(out, "  shard %d: processed %d (%.2f Mpps), allowed %d, dropped %d, backpressure %d, queue %d, avg batch %.1f, parked %.0f%%, %.0f ns/pkt modeled\n",
+			sm.Shard, sm.Processed, sm.PPS/1e6, sm.Allowed, sm.Dropped, sm.Backpressure, sm.QueueDepth, sm.AvgBatch, parkedPct(sm, m.Elapsed), sm.NsPerPacket)
 	}
 	fmt.Fprintf(out, "lb drops: %d (balancer discards, before any shard)\n", m.LBDrops)
 	if captureEvery > 0 {
@@ -887,8 +893,8 @@ func runMultiVictim(out io.Writer, mode filter.CopyMode, n, producers, victims, 
 	fmt.Fprintf(out, "verdicts: allowed %d, dropped %d; backpressure drops %d, lb drops %d, ns drops %d\n",
 		m.Allowed, m.Dropped, m.Backpressure, m.LBDrops, m.NSDrops)
 	for _, sm := range m.Shards {
-		fmt.Fprintf(out, "  shard %d: processed %d (%.2f Mpps), allowed %d, dropped %d, avg batch %.1f, %.0f ns/pkt modeled\n",
-			sm.Shard, sm.Processed, sm.PPS/1e6, sm.Allowed, sm.Dropped, sm.AvgBatch, sm.NsPerPacket)
+		fmt.Fprintf(out, "  shard %d: processed %d (%.2f Mpps), allowed %d, dropped %d, avg batch %.1f, parked %.0f%%, %.0f ns/pkt modeled\n",
+			sm.Shard, sm.Processed, sm.PPS/1e6, sm.Allowed, sm.Dropped, sm.AvgBatch, parkedPct(sm, m.Elapsed), sm.NsPerPacket)
 	}
 
 	// Per-victim accounting and one independently sealed epoch each: the

@@ -28,7 +28,8 @@
 //
 // Everything the control plane asks of a running worker is delivered as a
 // ticket the worker serves between two bursts, so the data plane never
-// parks and no filter is ever touched by two goroutines:
+// stalls for the control plane and no filter is ever touched by two
+// goroutines:
 //
 //   - RotateEpoch seals a namespace's sketch logs (authenticated, via the
 //     enclave MAC key) so merged per-epoch snapshots form a consistent
@@ -41,6 +42,20 @@
 //   - Attach/Detach/Reconfigure swap copy-on-write view tables with
 //     single atomic stores and use a fence ticket to prove quiescence
 //     before old filters are released.
+//
+// # Idle strategy
+//
+// A worker that finds its ring empty climbs one ladder: a bounded
+// busy-poll (about a microsecond), a few runtime.Gosched yields, then it
+// parks in a select on its wake, ticket and stop channels, so an engine
+// below saturation costs the CPU its packets cost and an idle one none.
+// Producers read the shard's parked flag after every publish and send the
+// wake token when it is set; the worker stores parked before re-reading
+// the ring's length, so one side always sees the other and no wake-up is
+// lost (shard.unpark). parked and the park counters have a cache line to
+// themselves, written only on park/unpark edges. The ladder's bounds are
+// constants: a spin longer than the gap between bursts never parks.
+// WaitDrained polls down the same ladder, sleeping on its last rung.
 //
 // # Concurrency contract
 //

@@ -27,6 +27,14 @@ const (
 	// double the classic 32-packet DPDK burst because the worker amortizes
 	// a rotation poll per burst).
 	DefaultBatch = 64
+	// idleSpins and idleYields bound the idle ladder's first two rungs
+	// (idleBackoff), in empty polls. Constants, not settings: a spin longer
+	// than the gap between bursts (10.7 µs at 6 Mpps) never parks, so it
+	// stays near 1 µs whatever the load.
+	idleSpins  = 64
+	idleYields = 4
+	// drainPoll is WaitDrained's last rung: its sleep between polls.
+	drainPoll = 50 * time.Microsecond
 	// MaxNamespaces bounds attached victim namespaces (Descriptor.NS is a
 	// uint16).
 	MaxNamespaces = 1 << 16
@@ -243,6 +251,8 @@ type namespace struct {
 }
 
 // shard is one worker: an MPSC ring drained into per-namespace filters.
+// An idle worker parks on wake (see loop); the parked flag producers read
+// after every publish has the struct's last cache line to itself.
 type shard struct {
 	id   int
 	ring *pipeline.MPSCRing
@@ -254,6 +264,9 @@ type shard struct {
 
 	rotate chan *rotateTicket
 	done   chan struct{}
+	// wake carries the unpark token: one slot, sent without blocking, so a
+	// stale token is a spurious wake-up at worst.
+	wake chan struct{}
 
 	// verdicts is the pooled verdict slice the worker hands the chain
 	// every burst (allocated once, reused for the shard's lifetime).
@@ -304,6 +317,14 @@ type shard struct {
 	// failure slow path.
 	bpActive atomic.Bool
 	_        [55]byte
+	// The park line: producers load parked after every publish, so all of
+	// it is written on park/unpark edges only (by the worker, and by the one
+	// producer whose CAS wins the wake).
+	parked   atomic.Bool
+	parks    atomic.Uint64 // times the worker blocked
+	wakes    atomic.Uint64 // tokens producers sent
+	parkedNs atomic.Uint64 // time spent blocked
+	_        [32]byte
 }
 
 // claimedTrace is one pending packet trace a worker claimed out of the
@@ -434,6 +455,7 @@ func New(cfg Config) (*Engine, error) {
 			ring:   ring,
 			rotate: make(chan *rotateTicket, 1),
 			done:   make(chan struct{}),
+			wake:   make(chan struct{}, 1),
 		}
 		empty := make([]*nsShard, 0)
 		s.views.Store(&empty)
@@ -477,6 +499,26 @@ func (e *Engine) noteBackpressure(s *shard) {
 	}
 	if s.bpActive.CompareAndSwap(false, true) {
 		e.emit(telemetry.EvBackpressureOn, -1, s.id, "ring full")
+		// Only an empty poll closes the episode, and a refusal that left
+		// nothing in the ring (an injected storm, a producer stalled just
+		// before this line) may find the worker parked.
+		s.unpark()
+	}
+}
+
+// unpark wakes the worker if it is parked; producers call it after every
+// publish. The worker stores parked and then reads the ring's length, the
+// producer claims its slots and then reads parked, and the atomics are
+// sequentially consistent, so one sees the other: the worker does not
+// block, or the producer sends the token. The CAS makes it one send
+// however many producers race.
+func (s *shard) unpark() {
+	if s.parked.Load() && s.parked.CompareAndSwap(true, false) {
+		s.wakes.Add(1)
+		select {
+		case s.wake <- struct{}{}:
+		default: // a stale token is in the slot, and wakes the worker as well
+		}
 	}
 }
 
@@ -1219,6 +1261,7 @@ func (e *Engine) Inject(d packet.Descriptor) bool {
 		return false
 	}
 	e.accepted.Add(1)
+	s.unpark()
 	return true
 }
 
@@ -1358,6 +1401,7 @@ func (e *Engine) InjectBatch(ds []packet.Descriptor) int {
 				e.tracer.Abandon(pend)
 			}
 		}
+		s.unpark()
 		accepted += n
 		sc.runs[j] = run[:0]
 	}
@@ -1374,11 +1418,26 @@ func (e *Engine) InjectBatch(ds []packet.Descriptor) int {
 	return accepted
 }
 
-// WaitDrained spins until every accepted descriptor has been processed.
-// Call after producers finish and before reading final counters or
-// rotating a final epoch.
+// idleBackoff is the idle ladder the shard worker and WaitDrained share.
+// After the n-th consecutive empty poll it returns false to poll again —
+// at once on the busy-poll rung, after a Gosched on the yield rung — and
+// true once the caller should block (the worker parks, WaitDrained sleeps).
+func idleBackoff(n int) (block bool) {
+	if n <= idleSpins {
+		return false
+	}
+	if n <= idleSpins+idleYields {
+		runtime.Gosched()
+		return false
+	}
+	return true
+}
+
+// WaitDrained polls down the idle ladder until every accepted descriptor
+// has been processed. Call after producers finish and before reading final
+// counters or rotating a final epoch.
 func (e *Engine) WaitDrained() {
-	for {
+	for idle := 1; ; idle++ {
 		var processed uint64
 		for _, s := range e.shards {
 			processed += s.processed.Load()
@@ -1386,7 +1445,9 @@ func (e *Engine) WaitDrained() {
 		if processed >= e.accepted.Load() {
 			return
 		}
-		runtime.Gosched()
+		if idleBackoff(idle) {
+			time.Sleep(drainPoll)
+		}
 	}
 }
 
@@ -1507,25 +1568,48 @@ func (s *shard) loop(e *Engine, batch []packet.Descriptor, rec *telemetry.StageR
 			again = true
 		}
 	}()
-	var waitStart time.Time
-	waiting := false
+	// idle counts empty polls up the ladder, zero outside an idle gap;
+	// idleStart is when the current gap opened.
+	idle := 0
+	var idleStart time.Time
 	for {
 		n := s.ring.DequeueBatch(batch)
 		if n > 0 {
 			sampled := rec.Sample()
-			if waiting {
-				waiting = false
+			if idle > 0 {
+				idle = 0
 				if sampled {
-					rec.Record(telemetry.StageDequeueWait, time.Since(waitStart))
+					rec.Record(telemetry.StageDequeueWait, time.Since(idleStart))
 				}
 			}
 			s.process(e, batch[:n], rec, sampled)
 			s.drainTickets(e)
 			continue
 		}
-		select {
-		case t := <-s.rotate:
+		// The ring is empty: any backpressure episode is over, and its
+		// edge is journaled before any rung can block.
+		if s.bpActive.Load() && s.bpActive.CompareAndSwap(true, false) {
+			e.emit(telemetry.EvBackpressureOff, -1, s.id, "ring drained")
+		}
+		if idle == 0 && rec != nil {
+			idleStart = time.Now()
+		}
+		idle++
+		var t *rotateTicket
+		if idleBackoff(idle) {
+			t = s.park(e)
+			idle = 1 // the gap goes on; the ladder starts over
+		} else {
+			select {
+			case t = <-s.rotate:
+			default:
+			}
+		}
+		if t != nil {
 			s.serveTicket(e, t)
+			continue
+		}
+		select {
 		case <-e.stop:
 			// Final drain: producers may have raced descriptors in after
 			// the stop signal.
@@ -1537,19 +1621,28 @@ func (s *shard) loop(e *Engine, batch []packet.Descriptor, rec *telemetry.StageR
 				s.process(e, batch[:n], rec, false)
 			}
 		default:
-			if rec != nil {
-				if !waiting {
-					waiting = true
-					waitStart = time.Now()
-				}
-				// The ring is empty: any backpressure episode is over.
-				if s.bpActive.Load() && s.bpActive.CompareAndSwap(true, false) {
-					e.emit(telemetry.EvBackpressureOff, -1, s.id, "ring drained")
-				}
-			}
-			runtime.Gosched()
 		}
 	}
+}
+
+// park is the ladder's last rung: block until a producer's token, a
+// control ticket (returned for the caller to serve) or Stop. parked is
+// stored before the ring is re-read (see unpark), and Len counts slots
+// claimed but not yet published, so the check errs towards staying awake.
+func (s *shard) park(e *Engine) (t *rotateTicket) {
+	s.parked.Store(true)
+	if s.ring.Len() == 0 {
+		start := time.Now()
+		s.parks.Add(1)
+		select {
+		case <-s.wake:
+		case t = <-s.rotate:
+		case <-e.stop:
+		}
+		s.parkedNs.Add(uint64(time.Since(start)))
+	}
+	s.parked.Store(false)
+	return t
 }
 
 // drainTickets serves every pending ticket at a batch boundary, so

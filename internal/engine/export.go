@@ -38,6 +38,9 @@ func (e *Engine) collect() []telemetry.Metric {
 	single("vif_engine_throttled_total", "Descriptors refused at ingress by admission control.", telemetry.Counter, float64(m.Throttled))
 	single("vif_engine_faulted_total", "Descriptors lost to worker panics (processed without a verdict).", telemetry.Counter, float64(m.Faulted))
 	single("vif_engine_worker_restarts_total", "Shard worker panic recoveries.", telemetry.Counter, float64(m.Restarts))
+	single("vif_engine_worker_parks_total", "Times an idle shard worker blocked at the end of the idle ladder.", telemetry.Counter, float64(m.Parks))
+	single("vif_engine_worker_wakes_total", "Wake tokens producers sent to parked shard workers.", telemetry.Counter, float64(m.Wakes))
+	single("vif_engine_worker_parked_seconds_total", "Time shard workers spent parked, summed over shards (counted when a park ends).", telemetry.Counter, float64(m.ParkedNs)/1e9)
 	single("vif_engine_queue_depth", "Descriptors sitting in shard rings.", telemetry.Gauge, float64(m.QueueDepth))
 	single("vif_engine_uptime_seconds", "Wall-clock time since Start.", telemetry.Gauge, m.Elapsed.Seconds())
 	single("vif_engine_pps", "Average processed packets per second since Start.", telemetry.Gauge, m.PPS)

@@ -46,6 +46,10 @@ type ShardMetrics struct {
 	// actually runs, the amortization factor of the per-burst costs.
 	Batches  uint64
 	AvgBatch float64
+	// Parks counts the times the idle worker blocked, Wakes the tokens
+	// producers sent to unblock it (control tickets and Stop end parks
+	// too), ParkedNs the time it spent blocked, added when a park ends.
+	Parks, Wakes, ParkedNs uint64
 	// NsPerPacket is the shard's modeled enclave time per filtered packet
 	// (the SGX cost meters' virtual nanoseconds, summed over the shard's
 	// namespace filters, divided by the packets they decided) — the
@@ -132,6 +136,8 @@ type Metrics struct {
 	// Processed, Allowed, Dropped, Orphaned, Backpressure, Faulted,
 	// Restarts aggregate the shard blocks.
 	Processed, Allowed, Dropped, Orphaned, Backpressure, Faulted, Restarts uint64
+	// Parks, Wakes, ParkedNs aggregate the shards' idle-ladder counters.
+	Parks, Wakes, ParkedNs uint64
 	// Throttled aggregates the namespaces' admission-refused counters.
 	Throttled uint64
 	// QueueDepth sums the shard rings' occupancy at snapshot time.
@@ -256,6 +262,9 @@ func (e *Engine) Metrics() Metrics {
 			Epochs:       s.epochs.Load(),
 			Promoted:     s.promoted.Load(),
 			Batches:      s.batches.Load(),
+			Parks:        s.parks.Load(),
+			Wakes:        s.wakes.Load(),
+			ParkedNs:     s.parkedNs.Load(),
 		}
 		if secs > 0 {
 			sm.PPS = float64(sm.Processed) / secs
@@ -284,6 +293,9 @@ func (e *Engine) Metrics() Metrics {
 		m.Restarts += sm.Restarts
 		m.Backpressure += sm.Backpressure
 		m.QueueDepth += sm.QueueDepth
+		m.Parks += sm.Parks
+		m.Wakes += sm.Wakes
+		m.ParkedNs += sm.ParkedNs
 	}
 	if secs > 0 {
 		m.PPS = float64(m.Processed) / secs
