@@ -15,13 +15,10 @@
 # classifier's rule-count-invariance sweep (100k-rule ns/pkt guarded at
 # ≤2x its own 1k figure, with the paper's trie scan recorded alongside).
 # `make bench-classify` runs just that flatness slice.
-# `make bench-classify-probe` runs just the probe comparison — per-packet
-# binary search vs chunked direct-index tables probed breadth-first over
-# bursts at 100k rules (guarded at ≥2x probe speedup).
 
 GO ?= go
 
-.PHONY: all build vet test race bench bench-filter bench-classify bench-classify-probe bench-multivictim bench-telemetry bench-isolation docs-check
+.PHONY: all build vet test race bench bench-filter bench-classify bench-multivictim bench-telemetry bench-isolation docs-check
 
 all: build vet test docs-check
 
@@ -45,9 +42,6 @@ bench-filter:
 
 bench-classify:
 	ONLY=classify ./scripts/bench_filter.sh BENCH_classify.json
-
-bench-classify-probe:
-	ONLY=classify-probe ./scripts/bench_filter.sh BENCH_classify_probe.json
 
 bench-multivictim:
 	ONLY=multivictim ./scripts/bench_engine.sh BENCH_multivictim.json

@@ -17,7 +17,6 @@ import (
 	"github.com/innetworkfiltering/vif/internal/attack"
 	"github.com/innetworkfiltering/vif/internal/attest"
 	"github.com/innetworkfiltering/vif/internal/bgp"
-	"github.com/innetworkfiltering/vif/internal/classify"
 	"github.com/innetworkfiltering/vif/internal/dist"
 	"github.com/innetworkfiltering/vif/internal/enclave"
 	"github.com/innetworkfiltering/vif/internal/engine"
@@ -930,68 +929,6 @@ func benchmarkClassifyBatch(b *testing.B, k int) {
 func BenchmarkClassifyBatch1k(b *testing.B)   { benchmarkClassifyBatch(b, 1000) }
 func BenchmarkClassifyBatch10k(b *testing.B)  { benchmarkClassifyBatch(b, 10000) }
 func BenchmarkClassifyBatch100k(b *testing.B) { benchmarkClassifyBatch(b, 100000) }
-
-// --- Classifier probe: binary search vs chunked direct-index + batch ----------
-
-// benchClassifyProgram compiles the reflection workload's bare classifier
-// (no filter around it) so the probe benchmarks isolate interval
-// resolution + intersection from dedup, sketches, and cost charging.
-func benchClassifyProgram(b *testing.B, k int) (*classify.Program, []packet.Descriptor) {
-	b.Helper()
-	set := benchClassifyRules(b, k)
-	prog := classify.Compile(set.Rules, nil, int32(set.Len()-1))
-	return prog, benchClassifyDescriptors(b, set, 64)
-}
-
-// BenchmarkClassifyProbeOld is the pre-index probe: one packet at a time,
-// each attribute's interval found by binary search over the boundary
-// table (ClassifySearch, the retained oracle). ns/op is ns/pkt.
-func BenchmarkClassifyProbeOld(b *testing.B) {
-	prog, descs := benchClassifyProgram(b, 100000)
-	b.ResetTimer()
-	hits := 0
-	for i := 0; i < b.N; i++ {
-		if _, _, _, ok := prog.ClassifySearch(descs[i&1023].Tuple); ok {
-			hits++
-		}
-	}
-	b.StopTimer()
-	if hits != b.N {
-		b.Fatalf("probe misses: %d/%d", b.N-hits, b.N)
-	}
-}
-
-// BenchmarkClassifyProbeNew is this PR's probe: 64-packet bursts through
-// ClassifyBatch — direct-index interval translation resolved
-// breadth-first per attribute, then the per-packet intersections. ns/op
-// is ns/pkt; the bench script gates new <= old/2.
-func BenchmarkClassifyProbeNew(b *testing.B) {
-	prog, descs := benchClassifyProgram(b, 100000)
-	burst := make([]packet.FiveTuple, 64)
-	var sc classify.BatchScratch
-	b.ResetTimer()
-	hits := 0
-	n := 0
-	for n < b.N {
-		m := 64
-		if remaining := b.N - n; m > remaining {
-			m = remaining
-		}
-		for i := 0; i < m; i++ {
-			burst[i] = descs[(n+i)&1023].Tuple
-		}
-		for _, r := range prog.ClassifyBatch(burst[:m], &sc) {
-			if r.OK {
-				hits++
-			}
-		}
-		n += m
-	}
-	b.StopTimer()
-	if hits != b.N {
-		b.Fatalf("probe misses: %d/%d", b.N-hits, b.N)
-	}
-}
 
 // benchmarkTrieScanPath is the side-by-side baseline: the same rule sets
 // and the same matching tuples through the paper's trie lookup, whose

@@ -1,6 +1,7 @@
 package classify
 
 import (
+	"math"
 	"math/bits"
 	"slices"
 
@@ -35,10 +36,11 @@ const sparseMax = 48
 // tables charge one footprint-dependent reference per probe.
 const hotBoundsMax = 16
 
-// classRef locates one elementary interval's rule membership inside the
-// per-attribute shared arenas: sparse (off into attrTable.sparse, n
+// classRef is one resolved elementary interval's rule membership inside
+// the per-attribute shared arenas: sparse (off into attrTable.sparse, n
 // entries, ascending priorities) when n <= sparseMax, dense (off into
-// attrTable.dense, Program.words words) when n > sparseMax.
+// attrTable.dense, Program.words words) when n > sparseMax. It is a
+// probe-time value (attrTable.class); the program stores offsets only.
 type classRef struct {
 	off uint32
 	n   uint32
@@ -55,25 +57,47 @@ func (c classRef) dense() bool { return c.n > sparseMax }
 // reconfigure changes the interval structure itself (boundary appears or
 // dies) versus merely editing memberships within fixed intervals.
 //
+// Interval i's sparse membership is sparse[off[i]:off[i+1]] (off has one
+// entry per interval plus a closing one). The rare intervals matched by
+// more than sparseMax rules occupy no sparse entries; the side table
+// denseIv lists them in ascending order with their sizes in denseN, and
+// the k-th listed interval's bitset is dense[k*words:(k+1)*words].
+//
 // Rules that leave the attribute unrestricted ("any") are factored out of
-// the per-interval memberships entirely: they appear once in anyList
-// (ascending priorities) and anyBits (bitset), not once per interval.
-// This keeps compiled size linear in the rule count regardless of how
-// many wildcards the set mixes in.
+// the per-interval memberships entirely: they appear once in the anyBits
+// bitset (anyCount of them), not once per interval. This keeps compiled
+// size linear in the rule count regardless of how many wildcards the set
+// mixes in.
+//
+// Every slice is exact-length, so memoryBytes prices what the heap holds.
 type attrTable struct {
-	bounds       []uint32
-	boundRef     []int32
-	refs         []classRef
-	sparse       []int32
-	dense        []uint64
-	anyList      []int32
-	anyBits      []uint64
-	denseClasses int
+	bounds   []uint32
+	boundRef []int32
+	off      []uint32
+	sparse   []int32
+	denseIv  []uint32
+	denseN   []uint32
+	dense    []uint64
+	anyBits  []uint64
+	anyCount int
 	// idx is the attribute's direct-index translation (index.go): value →
-	// interval in one or two loads where the bounds search paid log(n).
-	// A pure function of bounds, shared by reference across deltas that
-	// leave the boundary structure untouched.
+	// interval in a few loads where the bounds search paid log(n). A pure
+	// function of bounds, shared by reference across deltas that leave the
+	// boundary structure untouched.
 	idx attrIndex
+}
+
+// class resolves interval iv's membership. Only an interval with no
+// sparse entries can be dense, so the side table is searched for those
+// alone — and only when the attribute has dense classes at all.
+func (tb *attrTable) class(iv, words int) classRef {
+	lo, hi := tb.off[iv], tb.off[iv+1]
+	if hi == lo && len(tb.denseIv) > 0 {
+		if k, ok := slices.BinarySearch(tb.denseIv, uint32(iv)); ok {
+			return classRef{off: uint32(k * words), n: tb.denseN[k]}
+		}
+	}
+	return classRef{off: lo, n: hi - lo}
 }
 
 // Program is an immutable compiled classifier over a rule set. Build it
@@ -127,19 +151,25 @@ func attrRange(r *rules.Rule, a int) (lo, hi uint32, any bool) {
 	}
 }
 
-// upperBound returns the number of elements of b that are <= v, which is
-// also the index of the elementary interval containing v. Branch-light
-// binary search (the loop body compiles to a conditional move).
-func upperBound(b []uint32, v uint32) int {
+// le returns 1 when x <= v and 0 otherwise, as arithmetic on the
+// difference's sign bit: no branch, so nothing speculates on — or stalls
+// behind — a boundary that is still on its way from memory.
+func le(x, v uint32) int { return int(^uint64(int64(v)-int64(x)) >> 63) }
+
+// upperBound returns the number of elements of b that are <= v — over a
+// boundary table, the index of the elementary interval containing v.
+// Branch-free binary search: the trip count depends on len(b) alone and
+// each step adds half or nothing, so searches for different packets
+// overlap their misses.
+func upperBound[T uint16 | uint32](b []T, v T) int {
 	lo, n := 0, len(b)
-	for n > 0 {
+	for n > 1 {
 		half := n >> 1
-		if b[lo+half] <= v {
-			lo += half + 1
-			n -= half + 1
-		} else {
-			n = half
-		}
+		lo += half & -le(uint32(b[lo+half-1]), uint32(v))
+		n -= half
+	}
+	if n == 1 {
+		lo += le(uint32(b[lo]), uint32(v))
 	}
 	return lo
 }
@@ -168,17 +198,77 @@ func appendBounds(vals []uint32, r *rules.Rule, a int) []uint32 {
 	return vals
 }
 
+// layout cuts tb's membership arenas from per-interval membership counts
+// — the offset array, the dense side table, zeroed sparse and dense
+// storage, each at its exact length — and returns the function that fills
+// them: emit(j, pr) adds priority pr to interval j. Each interval's
+// priorities must arrive ascending; fill order alone then leaves every
+// sparse list sorted.
+func (tb *attrTable) layout(counts []uint32, words int) (emit func(j int, pr int32)) {
+	sparseTotal, denseN := 0, 0
+	for _, n := range counts {
+		if n > sparseMax {
+			denseN++
+		} else {
+			sparseTotal += int(n)
+		}
+	}
+	tb.off = make([]uint32, len(counts)+1)
+	tb.sparse = make([]int32, sparseTotal)
+	if denseN > 0 {
+		tb.denseIv = make([]uint32, 0, denseN)
+		tb.denseN = make([]uint32, 0, denseN)
+		tb.dense = make([]uint64, denseN*words)
+	}
+	// next[j] is interval j's next free sparse slot — or, for a dense
+	// interval, the first word of its bitset.
+	next := make([]uint32, len(counts))
+	at := uint32(0)
+	for j, n := range counts {
+		tb.off[j], next[j] = at, at
+		if n > sparseMax {
+			next[j] = uint32(len(tb.denseIv) * words)
+			tb.denseIv = append(tb.denseIv, uint32(j))
+			tb.denseN = append(tb.denseN, n)
+		} else {
+			at += n
+		}
+	}
+	tb.off[len(counts)] = at
+	return func(j int, pr int32) {
+		if counts[j] > sparseMax {
+			setBit(tb.dense[next[j]:], pr)
+			return
+		}
+		tb.sparse[next[j]] = pr
+		next[j]++
+	}
+}
+
+func setBit(b []uint64, pr int32) { b[uint32(pr)>>6] |= 1 << (uint32(pr) & 63) }
+
+func hasBit(b []uint64, pr int32) bool { return b[uint32(pr)>>6]>>(uint32(pr)&63)&1 != 0 }
+
 // compileAttr builds one attribute's table from scratch. rs must be in
-// ascending-priority order (prioOf(i) strictly increasing) so that fill
-// order alone leaves every membership list sorted.
+// ascending-priority order (prioOf(i) strictly increasing).
 func compileAttr(rs []rules.Rule, prioOf func(int) int32, a, words int) attrTable {
 	vals := make([]uint32, 0, 2*len(rs))
 	for i := range rs {
 		vals = appendBounds(vals, &rs[i], a)
 	}
 	slices.Sort(vals)
+	distinct := 0
+	for i, v := range vals {
+		if i == 0 || v != vals[i-1] {
+			distinct++
+		}
+	}
 
 	var tb attrTable
+	if distinct > 0 {
+		tb.bounds = make([]uint32, 0, distinct)
+		tb.boundRef = make([]int32, 0, distinct)
+	}
 	for i := 0; i < len(vals); {
 		j := i
 		for j < len(vals) && vals[j] == vals[i] {
@@ -189,15 +279,13 @@ func compileAttr(rs []rules.Rule, prioOf func(int) int32, a, words int) attrTabl
 		i = j
 	}
 
-	nIv := len(tb.bounds) + 1
-	counts := make([]uint32, nIv)
+	counts := make([]uint32, len(tb.bounds)+1)
 	spans := make([][2]int32, len(rs)) // cached; {-1,-1} marks any
-	anyCount := 0
 	for i := range rs {
 		lo, hi, any := attrRange(&rs[i], a)
 		if any {
 			spans[i] = [2]int32{-1, -1}
-			anyCount++
+			tb.anyCount++
 			continue
 		}
 		lb, rb := span(tb.bounds, lo, hi)
@@ -207,43 +295,19 @@ func compileAttr(rs []rules.Rule, prioOf func(int) int32, a, words int) attrTabl
 		}
 	}
 
-	tb.refs = make([]classRef, nIv)
-	sparseTotal := 0
-	for j, n := range counts {
-		if n > sparseMax {
-			tb.refs[j] = classRef{off: uint32(tb.denseClasses * words), n: n}
-			tb.denseClasses++
-		} else {
-			tb.refs[j] = classRef{off: uint32(sparseTotal), n: n}
-			sparseTotal += int(n)
-		}
-	}
-
-	tb.sparse = make([]int32, sparseTotal)
-	if tb.denseClasses > 0 {
-		tb.dense = make([]uint64, tb.denseClasses*words)
-	}
-	if anyCount > 0 {
-		tb.anyList = make([]int32, 0, anyCount)
+	emit := tb.layout(counts, words)
+	if tb.anyCount > 0 {
 		tb.anyBits = make([]uint64, words)
 	}
-	cursor := make([]uint32, nIv)
 	for i := range rs {
 		p := prioOf(i)
 		sp := spans[i]
 		if sp[0] < 0 {
-			tb.anyList = append(tb.anyList, p)
-			tb.anyBits[uint32(p)>>6] |= 1 << (uint32(p) & 63)
+			setBit(tb.anyBits, p)
 			continue
 		}
 		for j := sp[0]; j <= sp[1]; j++ {
-			ref := tb.refs[j]
-			if ref.dense() {
-				tb.dense[ref.off+uint32(p)>>6] |= 1 << (uint32(p) & 63)
-			} else {
-				tb.sparse[ref.off+cursor[j]] = p
-				cursor[j]++
-			}
+			emit(int(j), p)
 		}
 	}
 	tb.idx = buildIndex(a, tb.bounds)
@@ -288,11 +352,11 @@ func identityOr(prios []int32) func(int) int32 {
 // granularity the trie charged node visits (for the EPC cost model: one
 // per bitset word probed, one per cache line of sparse entries scanned).
 func (tb *attrTable) member(ref classRef, pr int32) (bool, int) {
-	if tb.anyBits != nil && tb.anyBits[uint32(pr)>>6]>>(uint32(pr)&63)&1 != 0 {
+	if tb.anyBits != nil && hasBit(tb.anyBits, pr) {
 		return true, 1
 	}
 	if ref.dense() {
-		return tb.dense[ref.off+uint32(pr)>>6]>>(uint32(pr)&63)&1 != 0, 1
+		return hasBit(tb.dense[ref.off:], pr), 1
 	}
 	s := tb.sparse[ref.off : ref.off+ref.n]
 	for i, q := range s {
@@ -346,19 +410,18 @@ func (p *Program) Classify(t packet.FiveTuple) (rule, prio int32, refs int, ok b
 		t.SrcIP, t.DstIP, uint32(t.SrcPort), uint32(t.DstPort), uint32(t.Proto),
 	}
 	var cls [numAttrs]classRef
-	driver, driverScore := 0, int(^uint(0) >> 1)
+	driver, driverScore := 0, int(^uint(0)>>1)
 	for a := 0; a < numAttrs; a++ {
 		tb := &p.attrs[a]
 		// One ref per probe of a multi-cache-line table — the granularity
-		// the trie charged per node visit; a root+chunk (or direct-array)
-		// access lands in one or two lines the same way the retained
-		// search's steps shared a few. Single-line tables are free (see
-		// hotBoundsMax).
+		// the trie charged per node visit, whichever translation (root,
+		// chunk entry and leaf, or a direct array) serves it. Single-line
+		// tables are free (see hotBoundsMax).
 		if len(tb.bounds) > hotBoundsMax {
 			refs++
 		}
-		ref := tb.refs[tb.interval(keys[a])]
-		score := int(ref.n) + len(tb.anyList)
+		ref := tb.class(tb.interval(keys[a]), p.words)
+		score := int(ref.n) + tb.anyCount
 		if score == 0 {
 			return 0, 0, refs, false
 		}
@@ -371,57 +434,42 @@ func (p *Program) Classify(t packet.FiveTuple) (rule, prio int32, refs int, ok b
 	return r, pr, refs + irefs, ok
 }
 
-// ClassifySearch is the retained binary-search probe: same verdicts,
-// priorities, and ref accounting as Classify, but every attribute
-// resolves its interval by upperBound over the boundary table instead of
-// the direct-index tables. It is the oracle the index path's property
-// and fuzz tests check against, and the baseline the classify_probe
-// bench gate compares to.
-func (p *Program) ClassifySearch(t packet.FiveTuple) (rule, prio int32, refs int, ok bool) {
-	keys := [numAttrs]uint32{
-		t.SrcIP, t.DstIP, uint32(t.SrcPort), uint32(t.DstPort), uint32(t.Proto),
+// noPrio is nextAny's exhausted marker; it exceeds every priority.
+const noPrio = math.MaxInt32
+
+// nextAny returns the attribute's lowest any-rule priority >= from, or
+// noPrio: the any-rules enumerated in ascending order straight from the
+// bitset.
+func (tb *attrTable) nextAny(from int32) int32 {
+	mask := ^uint64(0) << (uint32(from) & 63)
+	for w := int(uint32(from) >> 6); w < len(tb.anyBits); w++ {
+		if x := tb.anyBits[w] & mask; x != 0 {
+			return int32(w<<6 + bits.TrailingZeros64(x))
+		}
+		mask = ^uint64(0)
 	}
-	var cls [numAttrs]classRef
-	driver, driverScore := 0, int(^uint(0) >> 1)
-	for a := 0; a < numAttrs; a++ {
-		tb := &p.attrs[a]
-		if len(tb.bounds) > hotBoundsMax {
-			refs++
-		}
-		ref := tb.refs[upperBound(tb.bounds, keys[a])]
-		score := int(ref.n) + len(tb.anyList)
-		if score == 0 {
-			return 0, 0, refs, false
-		}
-		cls[a] = ref
-		if score < driverScore {
-			driver, driverScore = a, score
-		}
-	}
-	r, pr, irefs, ok := p.intersect(&cls, driver)
-	return r, pr, refs + irefs, ok
+	return noPrio
 }
 
 // intersect runs the smallest-set-driven candidate intersection over one
-// packet's five resolved classes — the shared tail of Classify,
-// ClassifySearch, and ClassifyBatch.
+// packet's five resolved classes — the shared tail of Classify and
+// ClassifyBatch.
 func (p *Program) intersect(cls *[numAttrs]classRef, driver int) (rule, prio int32, refs int, ok bool) {
 	dtb := &p.attrs[driver]
 	dref := cls[driver]
 	if !dref.dense() {
 		// Sparse driver: merge the driver's specific membership with its
-		// any-list (both ascending) and test candidates lowest-first.
+		// any-rules (both ascending) and test candidates lowest-first.
 		spec := dtb.sparse[dref.off : dref.off+dref.n]
-		anyL := dtb.anyList
-		si, ai := 0, 0
-		for si < len(spec) || ai < len(anyL) {
+		si, anyPr := 0, dtb.nextAny(0)
+		for si < len(spec) || anyPr != noPrio {
 			var pr int32
-			if ai >= len(anyL) || (si < len(spec) && spec[si] < anyL[ai]) {
+			if si < len(spec) && spec[si] < anyPr {
 				pr = spec[si]
 				si++
 			} else {
-				pr = anyL[ai]
-				ai++
+				pr = anyPr
+				anyPr = dtb.nextAny(pr + 1)
 			}
 			refs++
 			matched := true
@@ -466,29 +514,24 @@ func (p *Program) Len() int { return p.liveRules }
 const (
 	programOverheadBytes = 192 // Program struct + slice headers, amortized
 	attrOverheadBytes    = 64  // per-attrTable slice headers
-	classRefBytes        = 8
-	prioBytes            = 4
-	boundBytes           = 4
+	prioBytes            = 4   // also a boundary, a refcount, an offset
 )
 
 // memoryBytes computes the program's footprint with bitsets priced at w
-// words each. Everything except bitset widths — boundary tables, class
-// counts, membership sizes, sparse/dense representation choices — is a
-// function of the rule set alone, invariant under priority renumbering.
+// words each: every arena at length × element size (the slices are
+// exact-sized, so that is what the heap holds). Everything except bitset
+// widths — boundary tables, class counts, membership sizes, sparse/dense
+// representation choices — is a function of the rule set alone, invariant
+// under priority renumbering.
 func (p *Program) memoryBytes(w int) int {
 	total := programOverheadBytes + p.liveRules*prioBytes // ruleOf at dense width
 	for a := 0; a < numAttrs; a++ {
 		tb := &p.attrs[a]
-		total += attrOverheadBytes +
-			len(tb.bounds)*boundBytes +
-			len(tb.boundRef)*prioBytes +
-			len(tb.refs)*classRefBytes +
-			len(tb.sparse)*prioBytes +
-			tb.denseClasses*w*8 +
-			len(tb.anyList)*prioBytes +
-			tb.idx.indexBytes()
-		if len(tb.anyList) > 0 {
-			total += w * 8
+		total += attrOverheadBytes + tb.idx.indexBytes() +
+			prioBytes*(len(tb.bounds)+len(tb.boundRef)+len(tb.off)+len(tb.sparse)+2*len(tb.denseIv)) +
+			8*w*len(tb.denseIv)
+		if tb.anyCount > 0 {
+			total += 8 * w
 		}
 	}
 	return total
@@ -500,8 +543,8 @@ func (p *Program) memoryBytes(w int) int {
 // sparse priority domain reports the same figure as a fresh compile of
 // the same rules, so EPCBudgeter weights and the delta-vs-oracle memory
 // parity the filter tests assert stay exact; the width slack a sparse
-// domain actually retains is RetainedBytes - MemoryBytes and is charged
-// to the EPC meter as slack, exactly like trie snapshot slack.
+// domain actually retains is RetainedBytes - MemoryBytes, which the EPC
+// meter is charged on top.
 func (p *Program) MemoryBytes() int {
 	return p.memoryBytes((p.liveRules + 63) >> 6)
 }
@@ -514,4 +557,3 @@ func (p *Program) RetainedBytes() int {
 	total += (len(p.ruleOf) - p.liveRules) * prioBytes
 	return total
 }
-

@@ -215,12 +215,19 @@ type ruleWorld struct {
 }
 
 func (w *ruleWorld) step(rng *rand.Rand, removeN, addN int) Delta {
-	removeIdx := rng.Perm(len(w.rs))[:removeN]
-	sort.Ints(removeIdx)
 	isRemoved := make(map[int]bool, removeN)
-	for _, i := range removeIdx {
+	for _, i := range rng.Perm(len(w.rs))[:removeN] {
 		isRemoved[i] = true
 	}
+	adds := make([]rules.Rule, addN)
+	for i := range adds {
+		adds[i] = randRule(rng)
+	}
+	return w.apply(isRemoved, adds)
+}
+
+// apply removes the rules at the marked indices and appends adds.
+func (w *ruleWorld) apply(isRemoved map[int]bool, adds []rules.Rule) Delta {
 	var removedRules []rules.Rule
 	var removedPrios []int32
 	var survivors []rules.Rule
@@ -235,26 +242,55 @@ func (w *ruleWorld) step(rng *rand.Rand, removeN, addN int) Delta {
 		survivorPrios = append(survivorPrios, w.prios[i])
 	}
 	addStart := len(survivors)
-	for i := 0; i < addN; i++ {
-		survivors = append(survivors, randRule(rng))
+	for i, r := range adds {
+		survivors = append(survivors, r)
 		survivorPrios = append(survivorPrios, w.maxPrio+1+int32(i))
 	}
 	w.rs, w.prios = survivors, survivorPrios
-	w.maxPrio += int32(addN)
+	w.maxPrio += int32(len(adds))
 	return Delta{
 		Rules: survivors, Prios: survivorPrios, MaxPrio: w.maxPrio,
 		AddStart: addStart, RemovedRules: removedRules, RemovedPrios: removedPrios,
 	}
 }
 
+// hostRules returns n /32 source rules at base, base+4, ... — each
+// contributes two boundaries of its own inside base's /16 block.
+func hostRules(base uint32, n int) []rules.Rule {
+	rs := make([]rules.Rule, n)
+	for i := range rs {
+		rs[i] = rules.Rule{Src: rules.Prefix{Addr: base + uint32(i)*4, Len: 32}}
+	}
+	return rs
+}
+
+// hostRulesIn marks the indices of w's /32 source rules inside blk's /16.
+func (w *ruleWorld) hostRulesIn(blk uint32) map[int]bool {
+	m := make(map[int]bool)
+	for i, r := range w.rs {
+		if r.Src.Len == 32 && r.Src.Addr>>16 == blk {
+			m[i] = true
+		}
+	}
+	return m
+}
+
 // TestDeltaEquivalentToCompile drives random delta chains and asserts the
 // evolved program deep-equals a fresh compile of the same successor set —
-// arenas, boundary refcounts, representation choices, everything — and
-// that both agree with the linear oracle.
+// membership and index arenas, boundary refcounts, representation
+// choices, everything — and that both agree with the linear oracle. Every
+// fourth step flips boundaries inside one /16 on purpose: host rules land
+// there (a leaf appears; in the last trial it is past denseChunkMin) and
+// are all removed two steps later (it dies).
 func TestDeltaEquivalentToCompile(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	for trial := 0; trial < 8; trial++ {
-		k := 40 + rng.Intn(120)
+		k, hosts := 40+rng.Intn(120), 20
+		if trial == 7 {
+			// Large enough that 300 host rules (600 boundaries, a
+			// value-indexed leaf) stay under the recompile threshold.
+			k, hosts = 1500, 300
+		}
 		w := &ruleWorld{maxPrio: int32(k - 1)}
 		w.rs = make([]rules.Rule, k)
 		w.prios = make([]int32, k)
@@ -272,6 +308,12 @@ func TestDeltaEquivalentToCompile(t *testing.T) {
 			}
 			d := w.step(rng, rng.Intn(bound), rng.Intn(bound))
 			p = p.Delta(d)
+			switch step % 4 {
+			case 1:
+				p = p.Delta(w.apply(nil, hostRules(0x0A0A0000, hosts)))
+			case 3:
+				p = p.Delta(w.apply(w.hostRulesIn(0x0A0A), nil))
+			}
 			fresh := Compile(w.rs, w.prios, w.maxPrio)
 			if !reflect.DeepEqual(p, fresh) {
 				t.Fatalf("trial %d step %d: delta program diverged from fresh compile", trial, step)
@@ -393,6 +435,11 @@ func fuzzProgram() ([]rules.Rule, *Program) {
 		fuzzOnce.rs = make([]rules.Rule, 150)
 		for i := range fuzzOnce.rs {
 			fuzzOnce.rs[i] = randRule(rng)
+		}
+		// 10.10.0.0/16 carpeted by /28s: 4095 boundaries inside one block,
+		// so the fuzzers reach a value-indexed leaf.
+		for a := uint32(0x0A0A0000); a < 0x0A0B0000; a += 16 {
+			fuzzOnce.rs = append(fuzzOnce.rs, rules.Rule{Src: rules.Prefix{Addr: a, Len: 28}})
 		}
 		fuzzOnce.p = Compile(fuzzOnce.rs, nil, int32(len(fuzzOnce.rs)-1))
 	})

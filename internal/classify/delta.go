@@ -43,10 +43,11 @@ type Delta struct {
 // priorities (dense intervals as word-wise AND-NOT against one removed-
 // priority bitmap), adds append over their covered spans. When the
 // structure did shift, the successor boundary table is a linear merge of
-// the old one with the net changes, and an old→new interval map re-homes
-// the streams. The result is provably identical (deep-equal) to a fresh
-// compile of the same inputs, in O(memberships + changed·log bounds).
-// Past the churn threshold the whole program recompiles instead.
+// the old one with the net changes, an old→new interval map re-homes the
+// streams, and the direct-index tables are rebuilt over the merged table.
+// The result is provably identical (deep-equal) to a fresh compile of the
+// same inputs, in O(memberships + changed·log bounds). Past the churn
+// threshold the whole program recompiles instead.
 func (p *Program) Delta(d Delta) *Program {
 	changed := (len(d.Rules) - d.AddStart) + len(d.RemovedRules)
 	if len(d.Rules) == 0 || deltaChurnFactor*changed > len(d.Rules) {
@@ -66,54 +67,56 @@ func (p *Program) Delta(d Delta) *Program {
 	}
 	for a := 0; a < numAttrs; a++ {
 		old := &p.attrs[a]
-		net, flip := boundaryLiveness(old, &d, a)
+		nb, nref, flip := mergedBounds(old, boundaryNet(&d, a))
+		// Same intervals: memberships stream positionally and the old
+		// index (a pure function of the shared boundary slice) is kept.
+		srcIv, idx := []int32(nil), old.idx
 		if flip {
-			// The interval structure shifts: merge the boundary tables,
-			// re-home memberships via the old→new interval map, and patch
-			// the direct-index tables (leaf chunks of untouched /16 blocks
-			// are reused by reference).
-			nb, nref := mergedBounds(old, net)
-			tb := patchAttr(old, &d, a, p.words, q.words, prioOf,
-				nb, nref, intervalMap(old.bounds, nb))
-			tb.idx = patchIndex(a, nb, old, net)
-			q.attrs[a] = tb
-		} else {
-			// Same intervals: share the old boundary slice (and therefore
-			// the old index, a pure function of it), patch the refcounts,
-			// stream memberships positionally.
-			br := old.boundRef
-			if len(net) > 0 {
-				br = slices.Clone(old.boundRef)
-				for v, dn := range net {
-					if dn != 0 {
-						br[boundIndex(old.bounds, v)] += dn
-					}
-				}
-			}
-			tb := patchAttr(old, &d, a, p.words, q.words, prioOf,
-				old.bounds, br, nil)
-			tb.idx = old.idx
-			q.attrs[a] = tb
+			srcIv, idx = intervalMap(old.bounds, nb), buildIndex(a, nb)
 		}
+		q.attrs[a] = patchAttr(old, &d, a, p.words, q.words, prioOf, nb, nref, srcIv)
+		q.attrs[a].idx = idx
 	}
 	return q
 }
 
-// mergedBounds derives the successor boundary table by merging the old
-// sorted boundaries with the delta's net refcount changes — O(bounds +
-// changed·log changed) instead of re-sorting every boundary of the full
-// successor set. Boundaries whose refcount reaches zero are dropped; new
-// values are spliced in place.
-func mergedBounds(tb *attrTable, net map[uint32]int32) ([]uint32, []int32) {
+// mergedBounds derives the successor boundary table and refcounts from
+// the old ones and the delta's net refcount changes, and reports whether
+// any boundary's liveness flips (a new value appears, or an existing
+// one's refcount reaches zero) — the condition under which the interval
+// structure shifts. Without a flip the old boundary slice is shared and
+// only the refcounts are patched; with one the tables are a linear merge,
+// sized exactly first — O(bounds + changed·log changed) instead of
+// re-sorting every boundary of the full successor set.
+func mergedBounds(tb *attrTable, net map[uint32]int32) (bounds []uint32, refs []int32, flip bool) {
 	keys := make([]uint32, 0, len(net))
+	size := len(tb.bounds)
 	for v, dn := range net {
-		if dn != 0 {
-			keys = append(keys, v)
+		if dn == 0 {
+			continue
+		}
+		keys = append(keys, v)
+		if i := boundIndex(tb.bounds, v); i < 0 {
+			size, flip = size+1, true
+		} else if tb.boundRef[i]+dn == 0 {
+			size, flip = size-1, true
 		}
 	}
+	switch {
+	case len(keys) == 0:
+		return tb.bounds, tb.boundRef, false
+	case !flip:
+		refs = slices.Clone(tb.boundRef)
+		for _, v := range keys {
+			refs[boundIndex(tb.bounds, v)] += net[v]
+		}
+		return tb.bounds, refs, false
+	case size == 0:
+		return nil, nil, true
+	}
 	slices.Sort(keys)
-	bounds := make([]uint32, 0, len(tb.bounds)+len(keys))
-	refs := make([]int32, 0, len(tb.bounds)+len(keys))
+	bounds = make([]uint32, 0, size)
+	refs = make([]int32, 0, size)
 	i := 0
 	for _, v := range keys {
 		for i < len(tb.bounds) && tb.bounds[i] < v {
@@ -131,12 +134,7 @@ func mergedBounds(tb *attrTable, net map[uint32]int32) ([]uint32, []int32) {
 			refs = append(refs, n)
 		}
 	}
-	bounds = append(bounds, tb.bounds[i:]...)
-	refs = append(refs, tb.boundRef[i:]...)
-	if len(bounds) == 0 {
-		return nil, nil
-	}
-	return bounds, refs
+	return append(bounds, tb.bounds[i:]...), append(refs, tb.boundRef[i:]...), true
 }
 
 // intervalMap maps each successor elementary interval (index = number of
@@ -167,13 +165,8 @@ func boundIndex(bounds []uint32, v uint32) int {
 	return -1
 }
 
-// boundaryLiveness nets the delta's boundary refcount changes on
-// attribute a and reports whether any boundary's liveness flips (a new
-// boundary value appears, or an existing one's refcount reaches zero) —
-// the condition under which the interval structure shifts and the patch
-// must merge boundary tables and re-home memberships through an
-// interval map.
-func boundaryLiveness(tb *attrTable, d *Delta, a int) (map[uint32]int32, bool) {
+// boundaryNet nets the delta's boundary refcount changes on attribute a.
+func boundaryNet(d *Delta, a int) map[uint32]int32 {
 	var net map[uint32]int32
 	acc := func(r *rules.Rule, dn int32) {
 		lo, hi, any := attrRange(r, a)
@@ -197,16 +190,7 @@ func boundaryLiveness(tb *attrTable, d *Delta, a int) (map[uint32]int32, bool) {
 	for i := range adds {
 		acc(&adds[i], 1)
 	}
-	for v, dn := range net {
-		if dn == 0 {
-			continue
-		}
-		i := boundIndex(tb.bounds, v)
-		if i < 0 || tb.boundRef[i]+dn == 0 {
-			return net, true
-		}
-	}
-	return net, false
+	return net
 }
 
 // patchAttr rebuilds attribute a's membership arenas over the successor
@@ -219,38 +203,50 @@ func boundaryLiveness(tb *attrTable, d *Delta, a int) (map[uint32]int32, bool) {
 // changed·log bounds) — no per-survivor binary searches.
 func patchAttr(old *attrTable, d *Delta, a, oldWords, words int, prioOf func(int) int32, bounds []uint32, boundRef []int32, srcIv []int32) attrTable {
 	nIv := len(bounds) + 1
-	oldNIv := len(old.bounds) + 1
 	tb := attrTable{bounds: bounds, boundRef: boundRef}
 
 	// One bitmap over all removed priorities, any-rules and specific
 	// alike: a removed rule's priority appears in exactly one place per
-	// attribute (the any-list or its covered intervals), so a single
+	// attribute (the any-set or its covered intervals), so a single
 	// membership test filters both, and dense intervals shed every
 	// removal with a word-wise AND-NOT instead of per-bit iteration.
 	remBits := make([]uint64, oldWords)
 	for _, pr := range d.RemovedPrios {
-		remBits[uint32(pr)>>6] |= 1 << (uint32(pr) & 63)
-	}
-	removed := func(pr int32) bool {
-		return remBits[uint32(pr)>>6]>>(uint32(pr)&63)&1 != 0
+		setBit(remBits, pr)
 	}
 
-	// Removed rules span the OLD intervals (their boundaries were alive
-	// there); adds span the NEW ones (their boundaries are merged in).
-	var remCount, addCount []uint32
-	remAnyCount := 0
+	// Successor membership sizes: each new interval starts from its
+	// source old interval's, minus the removed rules spanning that OLD
+	// interval (their boundaries were alive there), plus the adds
+	// spanning the NEW one (their boundaries are merged in).
+	srcOf := func(j int) int {
+		if srcIv != nil {
+			return int(srcIv[j])
+		}
+		return j
+	}
+	var remCount []uint32
+	remAny := 0
 	for i := range d.RemovedRules {
 		lo, hi, any := attrRange(&d.RemovedRules[i], a)
 		if any {
-			remAnyCount++
+			remAny++
 			continue
 		}
 		if remCount == nil {
-			remCount = make([]uint32, oldNIv)
+			remCount = make([]uint32, len(old.bounds)+1)
 		}
 		lb, rb := span(old.bounds, lo, hi)
 		for j := lb; j <= rb; j++ {
 			remCount[j]++
+		}
+	}
+	counts := make([]uint32, nIv)
+	for j := range counts {
+		o := srcOf(j)
+		counts[j] = old.class(o, oldWords).n
+		if remCount != nil {
+			counts[j] -= remCount[o]
 		}
 	}
 	adds := d.Rules[d.AddStart:]
@@ -263,63 +259,22 @@ func patchAttr(old *attrTable, d *Delta, a, oldWords, words int, prioOf func(int
 			addAny++
 			continue
 		}
-		if addCount == nil {
-			addCount = make([]uint32, nIv)
-		}
 		lb, rb := span(bounds, lo, hi)
 		addSpans[i] = [2]int32{int32(lb), int32(rb)}
 		for j := lb; j <= rb; j++ {
-			addCount[j]++
+			counts[j]++
 		}
 	}
 
-	srcOf := func(j int) int {
-		if srcIv != nil {
-			return int(srcIv[j])
-		}
-		return j
-	}
-	tb.refs = make([]classRef, nIv)
-	sparseTotal := 0
+	emit := tb.layout(counts, words)
 	for j := 0; j < nIv; j++ {
-		o := srcOf(j)
-		n := old.refs[o].n
-		if remCount != nil {
-			n -= remCount[o]
-		}
-		if addCount != nil {
-			n += addCount[j]
-		}
-		if n > sparseMax {
-			tb.refs[j] = classRef{off: uint32(tb.denseClasses * words), n: n}
-			tb.denseClasses++
-		} else {
-			tb.refs[j] = classRef{off: uint32(sparseTotal), n: n}
-			sparseTotal += int(n)
-		}
-	}
-	tb.sparse = make([]int32, sparseTotal)
-	if tb.denseClasses > 0 {
-		tb.dense = make([]uint64, tb.denseClasses*words)
-	}
-	cursor := make([]uint32, nIv)
-	emit := func(j int, pr int32) {
-		ref := tb.refs[j]
-		if ref.dense() {
-			tb.dense[ref.off+uint32(pr)>>6] |= 1 << (uint32(pr) & 63)
-		} else {
-			tb.sparse[ref.off+cursor[j]] = pr
-			cursor[j]++
-		}
-	}
-	for j := 0; j < nIv; j++ {
-		oref := old.refs[srcOf(j)]
+		oref := old.class(srcOf(j), oldWords)
 		if oref.n == 0 {
 			continue
 		}
 		if oref.dense() {
 			src := old.dense[int(oref.off) : int(oref.off)+oldWords]
-			if nref := tb.refs[j]; nref.dense() {
+			if nref := tb.class(j, words); nref.dense() {
 				// Dense stays dense: copy surviving bits a word at a
 				// time; adds land later via emit's dense arm. Words
 				// past min(oldWords, words) hold only dead priorities.
@@ -332,14 +287,13 @@ func patchAttr(old *attrTable, d *Delta, a, oldWords, words int, prioOf func(int
 			for w := 0; w < oldWords; w++ {
 				x := src[w] &^ remBits[w]
 				for x != 0 {
-					pr := int32(w<<6 + bits.TrailingZeros64(x))
+					emit(j, int32(w<<6+bits.TrailingZeros64(x)))
 					x &= x - 1
-					emit(j, pr)
 				}
 			}
 		} else {
 			for _, pr := range old.sparse[oref.off : oref.off+oref.n] {
-				if !removed(pr) {
+				if !hasBit(remBits, pr) {
 					emit(j, pr)
 				}
 			}
@@ -356,21 +310,14 @@ func patchAttr(old *attrTable, d *Delta, a, oldWords, words int, prioOf func(int
 		}
 	}
 
-	if anyTotal := len(old.anyList) - remAnyCount + addAny; anyTotal > 0 {
-		tb.anyList = make([]int32, 0, anyTotal)
+	if tb.anyCount = old.anyCount - remAny + addAny; tb.anyCount > 0 {
 		tb.anyBits = make([]uint64, words)
-		keep := func(pr int32) {
-			tb.anyList = append(tb.anyList, pr)
-			tb.anyBits[uint32(pr)>>6] |= 1 << (uint32(pr) & 63)
-		}
-		for _, pr := range old.anyList {
-			if !removed(pr) {
-				keep(pr)
-			}
+		for w := 0; w < len(old.anyBits) && w < words; w++ {
+			tb.anyBits[w] = old.anyBits[w] &^ remBits[w]
 		}
 		for i := range adds {
 			if addSpans[i][0] < 0 {
-				keep(prioOf(d.AddStart + i))
+				setBit(tb.anyBits, prioOf(d.AddStart+i))
 			}
 		}
 	}

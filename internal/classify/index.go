@@ -3,8 +3,8 @@ package classify
 // Direct-index interval translation. The compiled probe's cost used to be
 // one upperBound binary search per attribute — log(bounds) dependent
 // loads, each a likely cache miss at 100k-rule boundary tables. The
-// structures here translate value → elementary-interval index in one or
-// two dependent loads instead:
+// structures here translate value → elementary-interval index in one to
+// three dependent loads instead:
 //
 //   - proto: a 256-entry uint16 array, value-indexed;
 //   - src/dst port: a 65536-entry uint16 array, value-indexed;
@@ -12,35 +12,40 @@ package classify
 //     2^16-entry root indexed by the address's high 16 bits whose entry
 //     either inlines the interval index directly (no boundary falls
 //     strictly inside that /16 block — the overwhelmingly common case)
-//     or points to a leaf chunk holding the block's boundary low-16
-//     values: binary-searched while small, value-indexed (a 65536-entry
-//     offset array) once the block carries >= denseChunkMin boundaries.
+//     or names a leaf: an 8-byte {off, base} entry of one chunk table
+//     pointing into one shared arena of boundary low-16 values. A leaf is
+//     binary-searched while small and value-indexed (65536 arena entries)
+//     once the block carries >= denseChunkMin boundaries. Three flat
+//     slices, no per-leaf headers: at 100k rules the ~51k leaves cost 8
+//     bytes each beside the boundaries themselves.
 //
 // Boundary tables at or under hotBoundsMax entries build no index at
 // all: the whole table is one cache line, the binary search never leaves
 // it, and the probe is priced as free by the cost model either way.
 //
 // Every structure is a pure function of the attribute's boundary table,
-// so index bytes are priority-numbering-invariant (MemoryBytes contract)
-// and Delta can share them by reference whenever a step leaves the
-// boundary structure untouched.
+// built in linear passes over it, so index bytes are priority-numbering-
+// invariant (MemoryBytes contract) and Delta shares them by reference
+// whenever a step leaves the boundary structure untouched (and rebuilds
+// them outright when it does not).
 
-// denseChunkMin is the boundary count at which a leaf chunk switches
-// from a binary-searched low-16 list to a value-indexed 65536-entry
-// offset array (128 KiB). Below it the list spans at most ~1 KiB of
-// contiguous cache lines; above it the direct array costs at most 256
-// bytes per boundary and turns the probe into a single load.
+// denseChunkMin is the boundary count at which a leaf switches from a
+// binary-searched low-16 list to a value-indexed 65536-entry offset
+// array (128 KiB). Below it the list spans at most ~1 KiB of contiguous
+// cache lines; above it the direct array costs at most 256 bytes per
+// boundary and turns the probe into a single load.
 const denseChunkMin = 512
 
-// addrChunk is one /16 block's leaf in the two-level address table.
-// bounds holds the block's boundary low-16 values (ascending, all >= 1 —
-// a boundary at the block start is absorbed into base). The interval
-// index of address v inside the block is base + (number of bounds <=
-// low16(v)); dense, when present, tabulates that count per low-16 value.
-type addrChunk struct {
-	base   uint32
-	bounds []uint16
-	dense  []uint16
+// addrLeaf is one /16 block's entry in the chunk table. Its arena span
+// runs from off to the next entry's off (the table ends with a closing
+// entry). A span shorter than denseChunkMin holds the block's boundary
+// low-16 values (ascending, all >= 1 — a boundary at the block start is
+// absorbed into base), and the interval index of address v inside the
+// block is base + (number of them <= low16(v)); a longer span is exactly
+// 65536 entries and tabulates that count per low-16 value.
+type addrLeaf struct {
+	off  uint32
+	base uint32
 }
 
 // attrIndex is one attribute's direct-index translation. Exactly one of
@@ -49,28 +54,23 @@ type addrChunk struct {
 // binary-searches it directly.
 type attrIndex struct {
 	direct []uint16
-	root   []int32 // >= 0: inlined interval index; < 0: ^chunkIndex
-	chunks []addrChunk
+	root   []int32 // >= 0: inlined interval index; < 0: ^(chunk table index)
+	chunks []addrLeaf
+	low    []uint16
 }
 
-// upperBound16 returns the number of elements of b that are <= v.
-func upperBound16(b []uint16, v uint16) int {
-	lo, n := 0, len(b)
-	for n > 0 {
-		half := n >> 1
-		if b[lo+half] <= v {
-			lo += half + 1
-			n -= half + 1
-		} else {
-			n = half
-		}
+// search counts the boundaries at or below low-16 value v in the leaf
+// spanning low[off:end].
+func (ix *attrIndex) search(off, end uint32, v uint16) int {
+	if end-off >= denseChunkMin {
+		return int(ix.low[off+uint32(v)])
 	}
-	return lo
+	return upperBound(ix.low[off:end], v)
 }
 
 // interval returns the index of the elementary interval containing v —
-// the direct-index fast path, falling back to the retained binary search
-// for single-cache-line boundary tables.
+// the direct-index fast path, or a binary search of a single-cache-line
+// boundary table.
 func (tb *attrTable) interval(v uint32) int {
 	if tb.idx.direct != nil {
 		return int(tb.idx.direct[v])
@@ -80,19 +80,15 @@ func (tb *attrTable) interval(v uint32) int {
 		if e >= 0 {
 			return int(e)
 		}
-		c := &tb.idx.chunks[^e]
-		lo := uint16(v)
-		if c.dense != nil {
-			return int(c.base) + int(c.dense[lo])
-		}
-		return int(c.base) + upperBound16(c.bounds, lo)
+		ch := tb.idx.chunks[^e]
+		return int(ch.base) + tb.idx.search(ch.off, tb.idx.chunks[^e+1].off, uint16(v))
 	}
 	return upperBound(tb.bounds, v)
 }
 
 // buildIndex constructs attribute a's direct-index tables over its
 // boundary table. Deterministic in bounds alone: a delta-evolved program
-// builds (or shares) byte-identical tables to a fresh compile's.
+// builds (or shares) tables identical to a fresh compile's.
 func buildIndex(a int, bounds []uint32) attrIndex {
 	if len(bounds) <= hotBoundsMax {
 		return attrIndex{}
@@ -103,7 +99,7 @@ func buildIndex(a int, bounds []uint32) attrIndex {
 	case attrSrcPort, attrDstPort:
 		return attrIndex{direct: buildDirect(bounds, 1<<16)}
 	default:
-		return buildChunked(bounds, nil, nil)
+		return buildChunked(bounds)
 	}
 }
 
@@ -122,129 +118,98 @@ func buildDirect(bounds []uint32, size int) []uint16 {
 	return d
 }
 
-// buildChunkDense tabulates upperBound16(cb, v) for every low-16 value.
-func buildChunkDense(cb []uint16) []uint16 {
-	d := make([]uint16, 1<<16)
-	iv := 0
-	for v := 0; v < 1<<16; v++ {
-		for iv < len(cb) && int(cb[iv]) <= v {
-			iv++
-		}
-		d[v] = uint16(iv)
+// innerRun scans the run of bounds sharing bounds[i]'s /16 block: in is
+// its first boundary strictly inside the block (one exactly at the block
+// start is skipped — it is absorbed into the block's base), end is one
+// past its last.
+func innerRun(bounds []uint32, i int) (in, end int) {
+	blk := bounds[i] >> 16
+	in = i
+	if bounds[i]&0xFFFF == 0 {
+		in++
 	}
-	return d
+	for end = in; end < len(bounds) && bounds[end]>>16 == blk; end++ {
+	}
+	return in, end
 }
 
-// chunkAt returns the leaf chunk serving /16 block blk, or nil when the
-// block's interval index is inlined in the root.
-func (ix *attrIndex) chunkAt(blk int) *addrChunk {
-	if ix.root == nil {
-		return nil
+// buildChunked constructs the two-level address table in two linear
+// passes over bounds: one sizes the chunk table and the arena exactly,
+// one fills them.
+func buildChunked(bounds []uint32) attrIndex {
+	nLeaves, nLow := 0, 0
+	for i := 0; i < len(bounds); {
+		in, end := innerRun(bounds, i)
+		switch n := end - in; {
+		case n >= denseChunkMin:
+			nLeaves, nLow = nLeaves+1, nLow+(1<<16)
+		case n > 0:
+			nLeaves, nLow = nLeaves+1, nLow+n
+		}
+		i = end
 	}
-	if e := ix.root[blk]; e < 0 {
-		return &ix.chunks[^e]
+	ix := attrIndex{
+		root:   make([]int32, 1<<16),
+		chunks: make([]addrLeaf, 0, nLeaves+1),
+		low:    make([]uint16, 0, nLow),
 	}
-	return nil
-}
-
-// buildChunked constructs the two-level address table. When old and
-// stale are given (the delta patch path), blocks NOT marked stale reuse
-// the old index's leaf arrays by reference — their boundary content is
-// unchanged, only the interval base below them shifted — so a delta
-// rebuilds leaf storage only for the /16 blocks whose boundary tables
-// actually changed.
-func buildChunked(bounds []uint32, old *attrIndex, stale map[uint32]bool) attrIndex {
-	ix := attrIndex{root: make([]int32, 1<<16)}
-	i := 0
-	for blk := 0; blk < 1<<16; blk++ {
-		start := uint32(blk) << 16
-		// A boundary exactly at the block start is absorbed into base.
-		if i < len(bounds) && bounds[i] == start {
-			i++
+	blk := 0
+	for i := 0; i < len(bounds); {
+		// Blocks below this run's carry no boundary: every value in them
+		// has exactly the i boundaries before the run at or below it.
+		for ; blk < int(bounds[i]>>16); blk++ {
+			ix.root[blk] = int32(i)
 		}
-		base := i
-		j := i
-		top := start | 0xFFFF
-		for j < len(bounds) && bounds[j] <= top {
-			j++
-		}
-		if j == i {
-			ix.root[blk] = int32(base)
-			continue
-		}
-		ix.root[blk] = ^int32(len(ix.chunks))
-		if old != nil && !stale[uint32(blk)] {
-			if c := old.chunkAt(blk); c != nil && len(c.bounds) == j-i {
-				ix.chunks = append(ix.chunks, addrChunk{base: uint32(base), bounds: c.bounds, dense: c.dense})
-				i = j
-				continue
+		in, end := innerRun(bounds, i)
+		if end == in {
+			ix.root[blk] = int32(in)
+		} else {
+			ix.root[blk] = ^int32(len(ix.chunks))
+			ix.chunks = append(ix.chunks, addrLeaf{off: uint32(len(ix.low)), base: uint32(in)})
+			if end-in >= denseChunkMin {
+				// Tabulate, per low-16 value, how many of the run's
+				// boundaries are at or below it.
+				k := in
+				for v := uint32(0); v < 1<<16; v++ {
+					for k < end && bounds[k]&0xFFFF <= v {
+						k++
+					}
+					ix.low = append(ix.low, uint16(k-in))
+				}
+			} else {
+				for _, b := range bounds[in:end] {
+					ix.low = append(ix.low, uint16(b))
+				}
 			}
 		}
-		cb := make([]uint16, j-i)
-		for k := i; k < j; k++ {
-			cb[k-i] = uint16(bounds[k])
-		}
-		c := addrChunk{base: uint32(base), bounds: cb}
-		if len(cb) >= denseChunkMin {
-			c.dense = buildChunkDense(cb)
-		}
-		ix.chunks = append(ix.chunks, c)
-		i = j
+		blk++
+		i = end
 	}
+	for ; blk < 1<<16; blk++ {
+		ix.root[blk] = int32(len(bounds))
+	}
+	ix.chunks = append(ix.chunks, addrLeaf{off: uint32(len(ix.low))})
 	return ix
 }
 
-// patchIndex rebuilds attribute a's direct-index tables after a delta
-// flipped the boundary structure. Port/proto direct arrays retabulate in
-// one linear pass; the address tables rebuild only the /16 blocks a
-// flipped boundary falls in, sharing every other block's leaf arrays
-// with the predecessor by reference. The result is byte-identical to
-// buildIndex over the merged boundary table.
-func patchIndex(a int, bounds []uint32, old *attrTable, net map[uint32]int32) attrIndex {
-	if len(bounds) <= hotBoundsMax {
-		return attrIndex{}
-	}
-	switch a {
-	case attrProto:
-		return attrIndex{direct: buildDirect(bounds, 1<<8)}
-	case attrSrcPort, attrDstPort:
-		return attrIndex{direct: buildDirect(bounds, 1<<16)}
-	}
-	stale := make(map[uint32]bool)
-	for v, dn := range net {
-		if dn == 0 {
-			continue
-		}
-		if i := boundIndex(old.bounds, v); i < 0 || old.boundRef[i]+dn == 0 {
-			stale[v>>16] = true
-		}
-	}
-	return buildChunked(bounds, &old.idx, stale)
-}
-
-// Index memory pricing (see memoryBytes). Like the other constants these
-// are amortized header figures, not exact heap accounting; what matters
-// is that they are a pure function of the structures' lengths so the
-// delta-equals-rebuild identity holds.
+// indexOverheadBytes prices an attrIndex's slice headers (amortized, like
+// the program's other header constants); the arenas are priced exactly.
 const (
-	indexOverheadBytes = 72 // attrIndex slice headers
-	chunkBytes         = 56 // addrChunk struct + slice headers
+	indexOverheadBytes = 72
+	addrLeafBytes      = 8
 )
 
 // indexBytes prices one attribute's direct-index tables.
 func (ix *attrIndex) indexBytes() int {
-	total := indexOverheadBytes + len(ix.direct)*2 + len(ix.root)*4
-	for c := range ix.chunks {
-		total += chunkBytes + len(ix.chunks[c].bounds)*2 + len(ix.chunks[c].dense)*2
-	}
-	return total
+	return indexOverheadBytes + len(ix.direct)*2 + len(ix.root)*4 +
+		len(ix.chunks)*addrLeafBytes + len(ix.low)*2
 }
 
 // IndexBytes reports the direct-index tables' share of MemoryBytes: the
 // value→interval translation arrays (port/proto direct tables, address
-// roots and leaf chunks), as opposed to the interval membership sets.
-// Like MemoryBytes it is numbering-invariant — a pure function of the
-// rule set's boundary structure.
+// roots, chunk tables and low-16 arenas), as opposed to the interval
+// membership sets. Like MemoryBytes it is numbering-invariant — a pure
+// function of the rule set's boundary structure.
 func (p *Program) IndexBytes() int {
 	total := 0
 	for a := 0; a < numAttrs; a++ {

@@ -2,6 +2,7 @@ package classify
 
 import (
 	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -13,8 +14,8 @@ import (
 // every attribute, tuples carrying each elementary-interval boundary
 // value and both its neighbors (v-1, v, v+1), plus the domain extremes
 // (0, MaxUint32, port 0/65535, proto 0/255) — every value where the
-// direct-index translation could disagree with the binary search by one
-// interval.
+// direct-index translation could disagree with upperBound over the
+// boundary table by one interval.
 func boundaryProbes(p *Program, rng *rand.Rand, rs []rules.Rule) []packet.FiveTuple {
 	var out []packet.FiveTuple
 	base := func() packet.FiveTuple { return randProbe(rng, rs) }
@@ -58,19 +59,12 @@ func boundaryProbes(p *Program, rng *rand.Rand, rs []rules.Rule) []packet.FiveTu
 	return out
 }
 
-// checkIndexAgainstSearch asserts the full Classify 4-tuple — rule,
-// priority, ref count, ok — equals ClassifySearch's for every probe, and
-// that every attribute's direct-index interval translation equals the
-// binary search's over the same values.
-func checkIndexAgainstSearch(t *testing.T, p *Program, probes []packet.FiveTuple) {
+// checkIndex asserts, for every probe, that each attribute's direct-index
+// interval translation equals upperBound over its boundary table, and
+// that Classify's verdict is the linear first-match scan's.
+func checkIndex(t *testing.T, p *Program, rs []rules.Rule, prios []int32, probes []packet.FiveTuple) {
 	t.Helper()
 	for _, tu := range probes {
-		ir, ip, irefs, iok := p.Classify(tu)
-		sr, sp, srefs, sok := p.ClassifySearch(tu)
-		if ir != sr || ip != sp || irefs != srefs || iok != sok {
-			t.Fatalf("probe %v: index path (%d,%d,%d,%v) != search path (%d,%d,%d,%v)",
-				tu, ir, ip, irefs, iok, sr, sp, srefs, sok)
-		}
 		keys := [numAttrs]uint32{
 			tu.SrcIP, tu.DstIP, uint32(tu.SrcPort), uint32(tu.DstPort), uint32(tu.Proto),
 		}
@@ -80,12 +74,20 @@ func checkIndexAgainstSearch(t *testing.T, p *Program, probes []packet.FiveTuple
 				t.Fatalf("probe %v attr %d: interval %d want %d", tu, a, got, want)
 			}
 		}
+		wantIdx, wantOK := oracleMatch(rs, tu)
+		gotIdx, gotPrio, _, gotOK := p.Classify(tu)
+		if gotOK != wantOK || (gotOK && int(gotIdx) != wantIdx) {
+			t.Fatalf("probe %v: got (%d,%v) want (%d,%v)", tu, gotIdx, gotOK, wantIdx, wantOK)
+		}
+		if gotOK && prios != nil && gotPrio != prios[wantIdx] {
+			t.Fatalf("probe %v: priority %d want %d", tu, gotPrio, prios[wantIdx])
+		}
 	}
 }
 
 // TestIndexMatchesSearchOracle: across random rule sets, the chunked
-// direct-index probe must agree with the retained binary-search oracle
-// on boundary-adjacent values and steered probes alike.
+// direct-index probe must agree with upperBound and the linear-scan
+// oracle on boundary-adjacent values and steered probes alike.
 func TestIndexMatchesSearchOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	for trial := 0; trial < 20; trial++ {
@@ -99,13 +101,15 @@ func TestIndexMatchesSearchOracle(t *testing.T) {
 		for n := 0; n < 200; n++ {
 			probes = append(probes, randProbe(rng, rs))
 		}
-		checkIndexAgainstSearch(t, p, probes)
+		checkIndex(t, p, rs, nil, probes)
 	}
 }
 
 // TestIndexMatchesSearchAcrossDeltas drives filter-shaped delta chains
-// and re-checks index-vs-search agreement after every step — the chunk
-// reuse and index sharing paths must stay byte-faithful to a rebuild.
+// and re-checks the index after every step — shared by reference or
+// rebuilt, its arenas must deep-equal a fresh compile's. Every third step
+// adds host rules inside one /16 and two steps on removes them all, so
+// leaves appear, grow and die between the random steps.
 func TestIndexMatchesSearchAcrossDeltas(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	for trial := 0; trial < 4; trial++ {
@@ -121,11 +125,23 @@ func TestIndexMatchesSearchAcrossDeltas(t *testing.T) {
 		for step := 0; step < 10; step++ {
 			bound := len(w.rs)/8 + 1
 			p = p.Delta(w.step(rng, rng.Intn(bound), rng.Intn(bound)))
+			switch step % 3 {
+			case 0:
+				p = p.Delta(w.apply(nil, hostRules(0x0A0A0000|uint32(step)<<8, 24)))
+			case 2:
+				p = p.Delta(w.apply(w.hostRulesIn(0x0A0A), nil))
+			}
+			fresh := Compile(w.rs, w.prios, w.maxPrio)
+			for a := 0; a < numAttrs; a++ {
+				if !reflect.DeepEqual(p.attrs[a].idx, fresh.attrs[a].idx) {
+					t.Fatalf("trial %d step %d attr %d: index arenas diverged from fresh compile", trial, step, a)
+				}
+			}
 			probes := boundaryProbes(p, rng, w.rs)
 			for n := 0; n < 60; n++ {
 				probes = append(probes, randProbe(rng, w.rs))
 			}
-			checkIndexAgainstSearch(t, p, probes)
+			checkIndex(t, p, w.rs, w.prios, probes)
 		}
 	}
 }
@@ -142,23 +158,74 @@ func TestDenseChunk(t *testing.T) {
 	}
 	p := Compile(rs, nil, int32(k-1))
 	srcIdx := &p.attrs[attrSrc].idx
-	hasDense := false
-	for i := range srcIdx.chunks {
-		if srcIdx.chunks[i].dense != nil {
-			hasDense = true
-			if len(srcIdx.chunks[i].bounds) < denseChunkMin {
-				t.Fatalf("dense chunk with only %d bounds", len(srcIdx.chunks[i].bounds))
-			}
-		}
-	}
-	if !hasDense {
-		t.Fatalf("no dense chunk built for %d boundaries in one /16 block", 2*k)
+	if len(srcIdx.chunks) != 2 || len(srcIdx.low) != 1<<16 {
+		t.Fatalf("%d boundaries in one /16 block built %d chunk entries over a %d-entry arena, want one value-indexed leaf",
+			2*k, len(srcIdx.chunks), len(srcIdx.low))
 	}
 	if p.IndexBytes() < 2*(1<<16) {
 		t.Fatalf("IndexBytes %d does not cover the dense chunk array", p.IndexBytes())
 	}
 	probes := boundaryProbes(p, rng, rs)
-	checkIndexAgainstSearch(t, p, probes)
+	checkIndex(t, p, rs, nil, probes)
+}
+
+// TestFlatIndexConformance pins the address index's corner cases, one
+// hand-built boundary table each, against upperBound at every boundary
+// and both its neighbors. filler pads a case past hotBoundsMax with
+// block-start boundaries, which are absorbed into their blocks' bases and
+// so add no leaf of their own.
+func TestFlatIndexConformance(t *testing.T) {
+	filler := func(n int) []uint32 {
+		b := make([]uint32, n)
+		for i := range b {
+			b[i] = 0x10000000 + uint32(i)<<16
+		}
+		return b
+	}
+	carpet := make([]uint32, 0, 600)
+	for v := uint32(0x40000000); len(carpet) < 599; v += 109 {
+		carpet = append(carpet, v)
+	}
+	carpet = append(carpet, 0x4000FFFF)
+	for _, c := range []struct {
+		name    string
+		bounds  []uint32
+		indexed bool
+		leaves  int
+		low     int // arena entries
+	}{
+		{"at most hotBoundsMax bounds build no index", filler(hotBoundsMax), false, 0, 0},
+		{"block-start boundaries alone build no leaf", filler(20), true, 0, 0},
+		{"boundary at a block start is absorbed into base",
+			append(filler(20), 0x20000000, 0x20000005), true, 1, 1},
+		{"low-16 values 0x0001 and 0xFFFF",
+			append(filler(20), 0x30000001, 0x3000FFFF), true, 1, 2},
+		{"first and last /16 block",
+			append([]uint32{0x00000001, 0x0000FFFF}, append(filler(20), 0xFFFF0000, 0xFFFF0001, 0xFFFFFFFF)...), true, 2, 4},
+		{"neighboring leaves share the arena",
+			append(filler(20), 0x50000010, 0x50010020, 0x50010030, 0x50020000), true, 2, 3},
+		{"a leaf of denseChunkMin bounds or more is value-indexed",
+			append(filler(20), carpet...), true, 1, 1 << 16},
+	} {
+		tb := attrTable{bounds: c.bounds}
+		tb.idx = buildIndex(attrSrc, tb.bounds)
+		if got := tb.idx.root != nil; got != c.indexed {
+			t.Fatalf("%s: indexed=%v want %v", c.name, got, c.indexed)
+		}
+		if c.indexed && (len(tb.idx.chunks) != c.leaves+1 || len(tb.idx.low) != c.low) {
+			t.Fatalf("%s: %d chunk entries over %d arena entries, want %d over %d",
+				c.name, len(tb.idx.chunks), len(tb.idx.low), c.leaves+1, c.low)
+		}
+		probes := []uint32{0, ^uint32(0)}
+		for _, v := range c.bounds {
+			probes = append(probes, v-1, v, v+1)
+		}
+		for _, v := range probes {
+			if got, want := tb.interval(v), upperBound(tb.bounds, v); got != want {
+				t.Fatalf("%s: interval(%#x)=%d want %d", c.name, v, got, want)
+			}
+		}
+	}
 }
 
 // TestIndexBytesAccounting pins the memory-accounting contract: the
@@ -325,6 +392,12 @@ func FuzzClassifyBatch(f *testing.F) {
 	f.Add(uint32(0), uint32(0), uint16(0), uint16(0), uint8(0))
 	f.Add(^uint32(0), ^uint32(0), uint16(65535), uint16(65535), uint8(255))
 	f.Add(uint32(0xC0000201), uint32(0xC6336401), uint16(53), uint16(443), uint8(17))
+	// Inside, on the edges of, and one past the /16 fuzzProgram carpets
+	// with /28s (a value-indexed leaf).
+	f.Add(uint32(0x0A0A0000), uint32(0), uint16(0), uint16(0), uint8(0))
+	f.Add(uint32(0x0A0A7FF0), uint32(0), uint16(0), uint16(0), uint8(6))
+	f.Add(uint32(0x0A0AFFFF), uint32(0), uint16(0), uint16(0), uint8(17))
+	f.Add(uint32(0x0A0B0000), uint32(0), uint16(0), uint16(0), uint8(17))
 	f.Fuzz(func(t *testing.T, src, dst uint32, sp, dp uint16, proto uint8) {
 		_, p := fuzzProgram()
 		tu := packet.FiveTuple{SrcIP: src, DstIP: dst, SrcPort: sp, DstPort: dp, Proto: packet.Protocol(proto)}
@@ -338,10 +411,6 @@ func FuzzClassifyBatch(f *testing.F) {
 			if res[i].Rule != r || res[i].Prio != pr || int(res[i].Refs) != refs || res[i].OK != ok {
 				t.Fatalf("tuple %d %v: batch (%d,%d,%d,%v) != scalar (%d,%d,%d,%v)",
 					i, x, res[i].Rule, res[i].Prio, res[i].Refs, res[i].OK, r, pr, refs, ok)
-			}
-			sr, sp2, srefs, sok := p.ClassifySearch(x)
-			if sr != r || sp2 != pr || srefs != refs || sok != ok {
-				t.Fatalf("tuple %d %v: search oracle diverged from index path", i, x)
 			}
 		}
 	})

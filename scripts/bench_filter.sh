@@ -1,7 +1,7 @@
 #!/bin/sh
 # Runs the filter hot-path benchmarks and writes the results as JSON so
 # the data path's advantages are recorded per PR and cannot silently
-# regress. Three benchmark families:
+# regress. Two benchmark families:
 #
 #   - scalar BenchmarkFilterProcess vs batched BenchmarkFilterBatch on the
 #     allow-heavy packet-train workload (gate: batch >= 2x scalar pps);
@@ -12,35 +12,25 @@
 #     classifier resolves one interval per attribute and intersects <= 5
 #     rule bitsets, so its ns/pkt must be rule-count-invariant (gate:
 #     100k <= 2x its own 1k figure) while the trie's per-node linear scan
-#     degrades superlinearly — recorded side by side, not just asserted;
-#   - the classifier probe itself, BenchmarkClassifyProbeOld (per-packet
-#     binary search over the boundary tables — the retained oracle) vs
-#     BenchmarkClassifyProbeNew (chunked direct-index tables probed
-#     breadth-first over 64-packet bursts via ClassifyBatch) at 100k
-#     rules (gate: new <= old/2, i.e. >= 2x probe speedup).
+#     degrades superlinearly — recorded side by side, not just asserted.
 #
 # Usage:
 #
 #   scripts/bench_filter.sh [output.json]       # default BENCH_filter.json
 #   BENCHTIME=1000000x scripts/bench_filter.sh  # longer batch/scalar runs
 #   CLASSIFY_BENCHTIME=100000x ...              # longer flatness runs
-#   PROBE_BENCHTIME=1000000x ...                # longer probe runs
 #   ONLY=classify scripts/bench_filter.sh       # just the flatness gate
 #                                               # (make bench-classify)
-#   ONLY=classify-probe scripts/bench_filter.sh # just the probe gate
-#                                               # (make bench-classify-probe)
 #
 # The JSON records, per path, the wall-clock ns per packet, the derived
 # packets/sec, and the SGX cost model's virtual ns per packet; per rule
-# count, the classify and trie ns/pkt; per probe implementation, the
-# ns/pkt and their ratio; plus host_cpus and go_version so wall-clock
-# numbers can be compared across recorded runs honestly.
+# count, the classify and trie ns/pkt; plus host_cpus and go_version so
+# wall-clock numbers can be compared across recorded runs honestly.
 set -e
 
 out="${1:-BENCH_filter.json}"
 benchtime="${BENCHTIME:-300000x}"
 classify_benchtime="${CLASSIFY_BENCHTIME:-50000x}"
-probe_benchtime="${PROBE_BENCHTIME:-200000x}"
 only="${ONLY:-}"
 tmp="$(mktemp)"
 trap 'rm -f "$tmp"' EXIT
@@ -57,13 +47,8 @@ if [ -z "$only" ] || [ "$only" = "classify" ]; then
     go test -run '^$' -bench 'Benchmark(ClassifyBatch|TrieScanPath)(1k|10k|100k)$' \
         -benchtime "$classify_benchtime" -count 1 . | tee -a "$tmp"
 fi
-if [ -z "$only" ] || [ "$only" = "classify-probe" ]; then
-    go test -run '^$' -bench 'BenchmarkClassifyProbe(Old|New)$' \
-        -benchtime "$probe_benchtime" -count 1 . | tee -a "$tmp"
-fi
 
 awk -v benchtime="$benchtime" -v cbenchtime="$classify_benchtime" \
-    -v pbenchtime="$probe_benchtime" \
     -v cpus="$host_cpus" -v gover="$go_version" -v only="$only" '
 /^BenchmarkFilter(Process|Batch)/ {
     name = $1
@@ -93,12 +78,6 @@ awk -v benchtime="$benchtime" -v cbenchtime="$classify_benchtime" \
     sub(/^BenchmarkTrieScanPath/, "", k)
     for (i = 2; i < NF; i++) if ($(i+1) == "ns/op") tns[k] = $i
 }
-/^BenchmarkClassifyProbe/ {
-    name = $1
-    sub(/-[0-9]+$/, "", name)
-    which = (name ~ /New/) ? "new" : "old"
-    for (i = 2; i < NF; i++) if ($(i+1) == "ns/op") pns[which] = $i
-}
 END {
     split("1k 10k 100k", ks, " ")
     rules["1k"] = 1000; rules["10k"] = 10000; rules["100k"] = 100000
@@ -112,12 +91,6 @@ END {
     flat = (cns["1k"] > 0 && cns["100k"] > 0) ? cns["100k"] / cns["1k"] : 0
     flatgate = (flat > 0 && flat <= 2.0) ? "pass" : "FAIL"
 
-    pm = 0
-    if (pns["old"] != "") { pm++; pline[pm] = sprintf("    {\"probe\": \"binary_search_scalar\", \"rules\": 100000, \"ns_per_pkt\": %s}", pns["old"]) }
-    if (pns["new"] != "") { pm++; pline[pm] = sprintf("    {\"probe\": \"direct_index_batch\", \"rules\": 100000, \"ns_per_pkt\": %s}", pns["new"]) }
-    probe = (pns["old"] > 0 && pns["new"] > 0) ? pns["old"] / pns["new"] : 0
-    probegate = (probe >= 2.0) ? "pass" : "FAIL"
-
     if (only == "classify") {
         printf "{\n"
         printf "  \"benchmark\": \"BenchmarkClassifyBatch vs BenchmarkTrieScanPath\",\n"
@@ -130,22 +103,6 @@ END {
         printf "  ],\n"
         printf "  \"classify_100k_over_1k\": %.2f,\n", flat
         printf "  \"gates\": {\"classify_flat_100k_le_2x_1k\": \"%s\"}\n", flatgate
-        printf "}\n"
-        exit
-    }
-
-    if (only == "classify-probe") {
-        printf "{\n"
-        printf "  \"benchmark\": \"BenchmarkClassifyProbeOld vs BenchmarkClassifyProbeNew\",\n"
-        printf "  \"workload\": \"reflection shape at 100k rules, rule-hitting tuples, 64-packet bursts on the new path\",\n"
-        printf "  \"benchtime\": \"%s\",\n", pbenchtime
-        printf "  \"host_cpus\": %d,\n", cpus
-        printf "  \"go_version\": \"%s\",\n", gover
-        printf "  \"classify_probe\": [\n"
-        for (i = 1; i <= pm; i++) printf "%s%s\n", pline[i], (i < pm ? "," : "")
-        printf "  ],\n"
-        printf "  \"classify_probe_speedup\": %.2f,\n", probe
-        printf "  \"gates\": {\"classify_probe_speedup_ge_2x\": \"%s\"}\n", probegate
         printf "}\n"
         exit
     }
@@ -164,13 +121,9 @@ END {
     printf "  \"classify\": [\n"
     for (i = 1; i <= cm; i++) printf "%s%s\n", cline[i], (i < cm ? "," : "")
     printf "  ],\n"
-    printf "  \"classify_probe\": [\n"
-    for (i = 1; i <= pm; i++) printf "%s%s\n", pline[i], (i < pm ? "," : "")
-    printf "  ],\n"
     printf "  \"classify_100k_over_1k\": %.2f,\n", flat
-    printf "  \"classify_probe_speedup\": %.2f,\n", probe
     printf "  \"batch_over_scalar_pps\": %.2f,\n", speedup
-    printf "  \"gates\": {\"batch_over_scalar_2x\": \"%s\", \"classify_flat_100k_le_2x_1k\": \"%s\", \"classify_probe_speedup_ge_2x\": \"%s\"}\n", batchgate, flatgate, probegate
+    printf "  \"gates\": {\"batch_over_scalar_2x\": \"%s\", \"classify_flat_100k_le_2x_1k\": \"%s\"}\n", batchgate, flatgate
     printf "}\n"
 }' "$tmp" > "$out"
 
