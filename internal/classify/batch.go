@@ -3,16 +3,13 @@ package classify
 import "github.com/innetworkfiltering/vif/internal/packet"
 
 // Breadth-first burst classification. The scalar Classify resolves a
-// packet's five attributes back to back, so each direct-index load's
-// latency serializes behind the previous one. ClassifyBatch runs the
-// same stages across the whole burst instead, level by level: the
-// burst's distinct tuples are gathered into one key column per
-// attribute, then each attribute resolves every key's interval a table
-// level at a time (all root or direct loads, then all leaf searches,
-// then all offset loads — independent misses the memory system
-// overlaps), then the per-packet smallest-set-driven intersections. The
-// verdicts, priorities, and ref accounting are exactly Classify's —
-// property tests assert the equivalence packet by packet.
+// packet's five attributes back to back, each load's latency serialized
+// behind the last. ClassifyBatch runs the same stages level by level
+// across the burst: distinct tuples gathered into one key column per
+// attribute, each attribute resolved a table level at a time (all root or
+// direct loads, all leaf searches, all offset loads — independent misses
+// the memory system overlaps), then the per-packet tail Classify itself
+// runs (resolve), so verdicts, priorities and ref accounting are its own.
 
 // Result is one packet's classification verdict, equal field for field
 // to the corresponding Classify return.
@@ -31,16 +28,16 @@ type BatchScratch struct {
 	iv   []int32            // the current attribute's root entries, then intervals
 	lo   []uint32           // arena span [lo, hi) of each key's address leaf
 	hi   []uint32
-	cls  [numAttrs][]classRef // resolved classes per distinct tuple
+	cls  [][numAttrs]classRef // resolved classes per distinct tuple
 	out  []Result
 }
 
 func (sc *BatchScratch) grow(n int) {
 	if cap(sc.out) < n {
-		for a := 0; a < numAttrs; a++ {
+		for a := range sc.keys {
 			sc.keys[a] = make([]uint32, n)
-			sc.cls[a] = make([]classRef, n)
 		}
+		sc.cls = make([][numAttrs]classRef, n)
 		sc.iv = make([]int32, n)
 		sc.lo = make([]uint32, n)
 		sc.hi = make([]uint32, n)
@@ -75,22 +72,19 @@ func (p *Program) ClassifyBatch(ts []packet.FiveTuple, sc *BatchScratch) []Resul
 
 	// Stage 1: per-attribute interval resolution for every distinct tuple,
 	// one table level per pass.
-	var big [numAttrs]bool
 	iv := sc.iv[:m]
 	for a := 0; a < numAttrs; a++ {
 		tb := &p.attrs[a]
-		big[a] = len(tb.bounds) > hotBoundsMax
-		keys, cls := sc.keys[a][:m], sc.cls[a][:m]
-		if !big[a] {
+		keys, cls := sc.keys[a][:m], sc.cls[:m]
+		if len(tb.bounds) <= hotBoundsMax {
 			// A single-cache-line table has at most hotBoundsMax+1
 			// intervals: search it in place and resolve each interval's
 			// class once per burst, on first use. An attribute no rule
-			// restricts is the commonest such table — one interval, one
-			// class for the whole column.
+			// restricts — no bounds at all — is one class for the column.
 			if len(tb.bounds) == 0 {
 				c := tb.class(0, p.words)
 				for k := range cls {
-					cls[k] = c
+					cls[k][a] = c
 				}
 				continue
 			}
@@ -102,7 +96,7 @@ func (p *Program) ClassifyBatch(ts []packet.FiveTuple, sc *BatchScratch) []Resul
 					have |= 1 << j
 					hot[j] = tb.class(int(j), p.words)
 				}
-				cls[k] = hot[j]
+				cls[k][a] = hot[j]
 			}
 			continue
 		}
@@ -129,21 +123,20 @@ func (p *Program) ClassifyBatch(ts []packet.FiveTuple, sc *BatchScratch) []Resul
 		}
 		off := tb.off
 		for k, j := range iv {
-			cls[k] = classRef{off: off[j], n: off[j+1] - off[j]}
+			cls[k][a] = classRef{off: off[j], n: off[j+1] - off[j]}
 		}
 		if len(tb.denseIv) > 0 {
 			// An empty sparse span may be one of the rare dense classes.
-			for k, c := range cls {
-				if c.n == 0 {
-					cls[k] = tb.class(int(iv[k]), p.words)
+			for k := range cls {
+				if cls[k][a].n == 0 {
+					cls[k][a] = tb.class(int(iv[k]), p.words)
 				}
 			}
 		}
 	}
 
-	// Stage 2: per-packet driver selection + intersection, mirroring the
-	// scalar probe's accounting exactly (one ref per multi-line table
-	// probed, stopping at the first empty candidate set).
+	// Stage 2: per-packet driver selection + intersection — the scalar
+	// probe's own tail, so the accounting is its accounting.
 	out := sc.out
 	k := -1
 	for i := 0; i < n; i++ {
@@ -152,31 +145,8 @@ func (p *Program) ClassifyBatch(ts []packet.FiveTuple, sc *BatchScratch) []Resul
 			continue
 		}
 		k++
-		var cls [numAttrs]classRef
-		refs := 0
-		driver, driverScore := 0, int(^uint(0)>>1)
-		miss := false
-		for a := 0; a < numAttrs; a++ {
-			if big[a] {
-				refs++
-			}
-			ref := sc.cls[a][k]
-			score := int(ref.n) + p.attrs[a].anyCount
-			if score == 0 {
-				miss = true
-				break
-			}
-			cls[a] = ref
-			if score < driverScore {
-				driver, driverScore = a, score
-			}
-		}
-		if miss {
-			out[i] = Result{Refs: int32(refs)}
-			continue
-		}
-		r, pr, irefs, ok := p.intersect(&cls, driver)
-		out[i] = Result{Rule: r, Prio: pr, Refs: int32(refs + irefs), OK: ok}
+		r, pr, refs, ok := p.resolve(&sc.cls[k])
+		out[i] = Result{Rule: r, Prio: pr, Refs: int32(refs), OK: ok}
 	}
 	return out
 }

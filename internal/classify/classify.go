@@ -64,10 +64,14 @@ func (c classRef) dense() bool { return c.n > sparseMax }
 // the k-th listed interval's bitset is dense[k*words:(k+1)*words].
 //
 // Rules that leave the attribute unrestricted ("any") are factored out of
-// the per-interval memberships entirely: they appear once in the anyBits
-// bitset (anyCount of them), not once per interval. This keeps compiled
-// size linear in the rule count regardless of how many wildcards the set
-// mixes in.
+// the per-interval memberships: they appear once, in the anyBits bitset
+// (anyCount of them), which keeps compiled size linear in the rule count
+// however many wildcards the set mixes in. A driver walks them in priority
+// order through two aids cut from the bitset (indexAny): anyFew lists the
+// lowest sparseMax — one catch-all behind 100,000 specific rules is one
+// load, not a scan of 1,563 empty words — and past those anySum, the
+// summary level (bit w set when anyBits[w] != 0; built only for larger
+// sets), skips 64 empty words per word read.
 //
 // Every slice is exact-length, so memoryBytes prices what the heap holds.
 type attrTable struct {
@@ -79,11 +83,12 @@ type attrTable struct {
 	denseN   []uint32
 	dense    []uint64
 	anyBits  []uint64
+	anyFew   []int32
+	anySum   []uint64
 	anyCount int
-	// idx is the attribute's direct-index translation (index.go): value →
-	// interval in a few loads where the bounds search paid log(n). A pure
-	// function of bounds, shared by reference across deltas that leave the
-	// boundary structure untouched.
+	// idx is the attribute's direct-index translation (index.go), value →
+	// interval in a few loads: a pure function of bounds, shared by reference
+	// across deltas that leave the boundary structure untouched.
 	idx attrIndex
 }
 
@@ -116,39 +121,26 @@ type Program struct {
 }
 
 // attrRange reports rule r's restriction on attribute a as an inclusive
-// [lo, hi] uint32 range, or any=true when the attribute is unrestricted.
+// [lo, hi] uint32 range, or any=true (lo and hi then meaningless) when the
+// attribute is unrestricted.
 func attrRange(r *rules.Rule, a int) (lo, hi uint32, any bool) {
 	switch a {
 	case attrSrc:
-		if r.Src.IsAny() {
-			return 0, 0, true
-		}
-		m := r.Src.Mask()
-		base := r.Src.Addr & m
-		return base, base | ^m, false
+		return prefixRange(r.Src)
 	case attrDst:
-		if r.Dst.IsAny() {
-			return 0, 0, true
-		}
-		m := r.Dst.Mask()
-		base := r.Dst.Addr & m
-		return base, base | ^m, false
+		return prefixRange(r.Dst)
 	case attrSrcPort:
-		if r.SrcPort.IsAny() {
-			return 0, 0, true
-		}
-		return uint32(r.SrcPort.Lo), uint32(r.SrcPort.Hi), false
+		return uint32(r.SrcPort.Lo), uint32(r.SrcPort.Hi), r.SrcPort.IsAny()
 	case attrDstPort:
-		if r.DstPort.IsAny() {
-			return 0, 0, true
-		}
-		return uint32(r.DstPort.Lo), uint32(r.DstPort.Hi), false
+		return uint32(r.DstPort.Lo), uint32(r.DstPort.Hi), r.DstPort.IsAny()
 	default: // attrProto
-		if r.Proto == 0 {
-			return 0, 0, true
-		}
-		return uint32(r.Proto), uint32(r.Proto), false
+		return uint32(r.Proto), uint32(r.Proto), r.Proto == 0
 	}
+}
+
+func prefixRange(p rules.Prefix) (lo, hi uint32, any bool) {
+	m := p.Mask()
+	return p.Addr & m, p.Addr&m | ^m, p.IsAny()
 }
 
 // le returns 1 when x <= v and 0 otherwise, as arithmetic on the
@@ -172,12 +164,6 @@ func upperBound[T uint16 | uint32](b []T, v T) int {
 		lo += le(uint32(b[lo]), uint32(v))
 	}
 	return lo
-}
-
-// span returns the inclusive elementary-interval index range covered by
-// rule range [lo, hi] under the boundary table b.
-func span(b []uint32, lo, hi uint32) (int, int) {
-	return upperBound(b, lo), upperBound(b, hi)
 }
 
 // appendBounds appends rule r's boundary contributions on attribute a:
@@ -249,6 +235,27 @@ func setBit(b []uint64, pr int32) { b[uint32(pr)>>6] |= 1 << (uint32(pr) & 63) }
 
 func hasBit(b []uint64, pr int32) bool { return b[uint32(pr)>>6]>>(uint32(pr)&63)&1 != 0 }
 
+// indexAny cuts the any-set's enumeration aids from anyBits: the lowest
+// sparseMax priorities as a list, the summary level when there are more —
+// selected on the count alone, so invariant under priority renumbering.
+func (tb *attrTable) indexAny() {
+	if tb.anyCount == 0 {
+		return
+	}
+	tb.anyFew = make([]int32, 0, min(tb.anyCount, sparseMax))
+	if tb.anyCount > sparseMax {
+		tb.anySum = make([]uint64, (len(tb.anyBits)+63)>>6)
+	}
+	for w, x := range tb.anyBits {
+		if x != 0 && tb.anySum != nil {
+			tb.anySum[w>>6] |= 1 << (uint(w) & 63)
+		}
+		for ; x != 0 && len(tb.anyFew) < cap(tb.anyFew); x &= x - 1 {
+			tb.anyFew = append(tb.anyFew, int32(w<<6+bits.TrailingZeros64(x)))
+		}
+	}
+}
+
 // compileAttr builds one attribute's table from scratch. rs must be in
 // ascending-priority order (prioOf(i) strictly increasing).
 func compileAttr(rs []rules.Rule, prioOf func(int) int32, a, words int) attrTable {
@@ -288,7 +295,7 @@ func compileAttr(rs []rules.Rule, prioOf func(int) int32, a, words int) attrTabl
 			tb.anyCount++
 			continue
 		}
-		lb, rb := span(tb.bounds, lo, hi)
+		lb, rb := upperBound(tb.bounds, lo), upperBound(tb.bounds, hi) // the intervals [lo, hi] covers
 		spans[i] = [2]int32{int32(lb), int32(rb)}
 		for j := lb; j <= rb; j++ {
 			counts[j]++
@@ -310,6 +317,7 @@ func compileAttr(rs []rules.Rule, prioOf func(int) int32, a, words int) attrTabl
 			emit(int(j), p)
 		}
 	}
+	tb.indexAny()
 	tb.idx = buildIndex(a, tb.bounds)
 	return tb
 }
@@ -322,22 +330,29 @@ func Compile(rs []rules.Rule, prios []int32, maxPrio int32) *Program {
 	if len(rs) == 0 {
 		maxPrio = -1
 	}
+	p, prioOf := newProgram(rs, prios, maxPrio)
+	for a := 0; a < numAttrs; a++ {
+		p.attrs[a] = compileAttr(rs, prioOf, a, p.words)
+	}
+	return p
+}
+
+// newProgram sizes a program over rs and fills its priority → rule table;
+// the attribute tables are the caller's to build.
+func newProgram(rs []rules.Rule, prios []int32, maxPrio int32) (*Program, func(int) int32) {
 	p := &Program{
+		ruleOf:    make([]int32, int(maxPrio)+1),
 		words:     int(maxPrio+64) >> 6,
 		liveRules: len(rs),
 	}
 	prioOf := identityOr(prios)
-	p.ruleOf = make([]int32, int(maxPrio)+1)
 	for i := range p.ruleOf {
 		p.ruleOf[i] = -1
 	}
 	for i := range rs {
 		p.ruleOf[prioOf(i)] = int32(i)
 	}
-	for a := 0; a < numAttrs; a++ {
-		p.attrs[a] = compileAttr(rs, prioOf, a, p.words)
-	}
-	return p
+	return p, prioOf
 }
 
 func identityOr(prios []int32) func(int) int32 {
@@ -410,50 +425,75 @@ func (p *Program) Classify(t packet.FiveTuple) (rule, prio int32, refs int, ok b
 		t.SrcIP, t.DstIP, uint32(t.SrcPort), uint32(t.DstPort), uint32(t.Proto),
 	}
 	var cls [numAttrs]classRef
-	driver, driverScore := 0, int(^uint(0)>>1)
 	for a := 0; a < numAttrs; a++ {
 		tb := &p.attrs[a]
-		// One ref per probe of a multi-cache-line table — the granularity
-		// the trie charged per node visit, whichever translation (root,
-		// chunk entry and leaf, or a direct array) serves it. Single-line
-		// tables are free (see hotBoundsMax).
+		cls[a] = tb.class(tb.interval(keys[a]), p.words)
+		if cls[a].n == 0 && tb.anyCount == 0 {
+			break // resolve stops at this attribute too
+		}
+	}
+	return p.resolve(&cls)
+}
+
+// resolve finishes one packet from its five resolved classes — the shared
+// tail of Classify and ClassifyBatch: charge the table probes, pick the
+// driver, intersect. One ref per probe of a multi-cache-line table — the
+// granularity the trie charged per node visit, whichever translation
+// (root, chunk entry and leaf, or a direct array) served it; single-line
+// tables are free (see hotBoundsMax). The first attribute with no
+// candidate at all ends the packet: nothing past it is read or charged.
+func (p *Program) resolve(cls *[numAttrs]classRef) (rule, prio int32, refs int, ok bool) {
+	driver, driverScore := 0, math.MaxInt
+	for a := 0; a < numAttrs; a++ {
+		tb := &p.attrs[a]
 		if len(tb.bounds) > hotBoundsMax {
 			refs++
 		}
-		ref := tb.class(tb.interval(keys[a]), p.words)
-		score := int(ref.n) + tb.anyCount
+		score := int(cls[a].n) + tb.anyCount
 		if score == 0 {
 			return 0, 0, refs, false
 		}
-		cls[a] = ref
 		if score < driverScore {
 			driver, driverScore = a, score
 		}
 	}
-	r, pr, irefs, ok := p.intersect(&cls, driver)
+	r, pr, irefs, ok := p.intersect(cls, driver)
 	return r, pr, refs + irefs, ok
 }
 
-// noPrio is nextAny's exhausted marker; it exceeds every priority.
+// noPrio is anyAt's exhausted marker; it exceeds every priority.
 const noPrio = math.MaxInt32
 
-// nextAny returns the attribute's lowest any-rule priority >= from, or
-// noPrio: the any-rules enumerated in ascending order straight from the
-// bitset.
-func (tb *attrTable) nextAny(from int32) int32 {
-	mask := ^uint64(0) << (uint32(from) & 63)
-	for w := int(uint32(from) >> 6); w < len(tb.anyBits); w++ {
-		if x := tb.anyBits[w] & mask; x != 0 {
-			return int32(w<<6 + bits.TrailingZeros64(x))
+// anyAt returns the attribute's k-th lowest any-rule priority, or noPrio
+// past the last; from is a lower bound on it (the previous one plus one).
+// The first sparseMax come from the list; the rest from the bitset — the
+// remainder of from's own word, then the summary level names the next
+// non-empty word: at most two bitset words plus one summary word per 4,096
+// priorities skipped.
+func (tb *attrTable) anyAt(k int, from int32) int32 {
+	if k < len(tb.anyFew) {
+		return tb.anyFew[k]
+	}
+	if k >= tb.anyCount {
+		return noPrio
+	}
+	w := int(uint32(from) >> 6)
+	if x := tb.anyBits[w] >> (uint32(from) & 63); x != 0 {
+		return from + int32(bits.TrailingZeros64(x))
+	}
+	w++
+	mask := ^uint64(0) << (uint(w) & 63)
+	for s := w >> 6; ; s++ { // k < anyCount: a set bit remains
+		if x := tb.anySum[s] & mask; x != 0 {
+			w = s<<6 + bits.TrailingZeros64(x)
+			return int32(w<<6 + bits.TrailingZeros64(tb.anyBits[w]))
 		}
 		mask = ^uint64(0)
 	}
-	return noPrio
 }
 
 // intersect runs the smallest-set-driven candidate intersection over one
-// packet's five resolved classes — the shared tail of Classify and
-// ClassifyBatch.
+// packet's five resolved classes.
 func (p *Program) intersect(cls *[numAttrs]classRef, driver int) (rule, prio int32, refs int, ok bool) {
 	dtb := &p.attrs[driver]
 	dref := cls[driver]
@@ -461,7 +501,7 @@ func (p *Program) intersect(cls *[numAttrs]classRef, driver int) (rule, prio int
 		// Sparse driver: merge the driver's specific membership with its
 		// any-rules (both ascending) and test candidates lowest-first.
 		spec := dtb.sparse[dref.off : dref.off+dref.n]
-		si, anyPr := 0, dtb.nextAny(0)
+		si, ai, anyPr := 0, 0, dtb.anyAt(0, 0)
 		for si < len(spec) || anyPr != noPrio {
 			var pr int32
 			if si < len(spec) && spec[si] < anyPr {
@@ -469,7 +509,8 @@ func (p *Program) intersect(cls *[numAttrs]classRef, driver int) (rule, prio int
 				si++
 			} else {
 				pr = anyPr
-				anyPr = dtb.nextAny(pr + 1)
+				ai++
+				anyPr = dtb.anyAt(ai, pr+1)
 			}
 			refs++
 			matched := true
@@ -528,10 +569,13 @@ func (p *Program) memoryBytes(w int) int {
 	for a := 0; a < numAttrs; a++ {
 		tb := &p.attrs[a]
 		total += attrOverheadBytes + tb.idx.indexBytes() +
-			prioBytes*(len(tb.bounds)+len(tb.boundRef)+len(tb.off)+len(tb.sparse)+2*len(tb.denseIv)) +
+			prioBytes*(len(tb.bounds)+len(tb.boundRef)+len(tb.off)+len(tb.sparse)+2*len(tb.denseIv)+len(tb.anyFew)) +
 			8*w*len(tb.denseIv)
 		if tb.anyCount > 0 {
 			total += 8 * w
+		}
+		if tb.anyCount > sparseMax {
+			total += 8 * ((w + 63) >> 6) // anySum
 		}
 	}
 	return total

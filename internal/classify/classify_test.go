@@ -468,3 +468,95 @@ func FuzzClassify(f *testing.F) {
 		}
 	})
 }
+
+// TestAnyEnumeration pins the driver's any-rule walk on the shapes a
+// sparse any-set takes over a wide priority domain — one catch-all behind
+// everything, a cluster at the tail, members either side of a bitset-word
+// and a summary-word edge, at and past sparseMax (the list alone, then
+// the list continued through the summary level): anyAt must yield exactly the any-rule priorities, ascending, and
+// Classify must agree with the first-match oracle on packets only those
+// rules match.
+func TestAnyEnumeration(t *testing.T) {
+	const domain = 300000 // more than one summary word (64*64*64 = 262,144 priorities)
+	run := func(lo, n, stride int32) []int32 {
+		s := make([]int32, n)
+		for i := range s {
+			s[i] = lo + int32(i)*stride
+		}
+		return s
+	}
+	for name, anys := range map[string][]int32{
+		"none":           nil,
+		"first":          {0},
+		"last":           {domain - 1},
+		"word edges":     {63, 64, 4095, 4096, 262143, 262144},
+		"sparseMax":      run(domain-sparseMax, sparseMax, 1),
+		"sparseMax+1":    run(domain-sparseMax-1, sparseMax+1, 1),
+		"tail cluster":   run(domain-100, 100, 1),
+		"spread":         run(17, 200, 1499),
+		"summary stride": run(5, 70, 4096),
+	} {
+		// Specific rules (one source host each) fill priorities around the
+		// any-rules, which leave the source unrestricted and name one
+		// destination port apiece.
+		isAny := make(map[int32]int, len(anys))
+		for i, pr := range anys {
+			isAny[pr] = i
+		}
+		var rs []rules.Rule
+		var prios []int32
+		for pr := int32(0); pr < domain; pr += 997 {
+			if _, ok := isAny[pr]; !ok {
+				rs = append(rs, rules.Rule{ID: uint32(pr + 1), Src: rules.Prefix{Addr: 0x0A000000 + uint32(pr), Len: 32}})
+				prios = append(prios, pr)
+			}
+		}
+		for i, pr := range anys {
+			port := uint16(1000 + i)
+			rs = append(rs, rules.Rule{ID: uint32(pr + 1), DstPort: rules.PortRange{Lo: port, Hi: port}})
+			prios = append(prios, pr)
+		}
+		sort.Sort(byPrio{rs, prios})
+		p := Compile(rs, prios, domain-1)
+
+		tb := &p.attrs[attrSrc]
+		var got []int32
+		for k, from := 0, int32(0); ; k++ {
+			pr := tb.anyAt(k, from)
+			if pr == noPrio {
+				break
+			}
+			got, from = append(got, pr), pr+1
+		}
+		if !reflect.DeepEqual(got, anys) {
+			t.Errorf("%s: anyAt enumerates %v, want %v", name, got, anys)
+		}
+		if len(tb.anyFew) != min(len(anys), sparseMax) || (tb.anySum != nil) != (len(anys) > sparseMax) {
+			t.Errorf("%s: %d any-rules listed as %d with summary %v", name, len(anys), len(tb.anyFew), tb.anySum != nil)
+		}
+		for i, pr := range anys {
+			// A source no specific rule names: only any-rule i matches.
+			tu := packet.FiveTuple{SrcIP: 0xC0000000 + uint32(i), DstPort: uint16(1000 + i), Proto: packet.ProtoUDP}
+			_, gotPr, _, ok := p.Classify(tu)
+			if !ok || gotPr != pr {
+				t.Errorf("%s: any-rule %d: Classify = prio %d ok %v, want prio %d", name, i, gotPr, ok, pr)
+			}
+		}
+		if _, _, _, ok := p.Classify(packet.FiveTuple{SrcIP: 0xC0000000, DstPort: 1, Proto: packet.ProtoUDP}); ok {
+			t.Errorf("%s: unmatched packet classified", name)
+		}
+	}
+}
+
+// byPrio sorts a rule slice and its priorities together, ascending.
+type byPrio struct {
+	rs    []rules.Rule
+	prios []int32
+}
+
+func (b byPrio) Len() int           { return len(b.rs) }
+func (b byPrio) Less(i, j int) bool { return b.prios[i] < b.prios[j] }
+func (b byPrio) Swap(i, j int) {
+	b.rs[i], b.rs[j] = b.rs[j], b.rs[i]
+	b.prios[i], b.prios[j] = b.prios[j], b.prios[i]
+}

@@ -53,18 +53,7 @@ func (p *Program) Delta(d Delta) *Program {
 	if len(d.Rules) == 0 || deltaChurnFactor*changed > len(d.Rules) {
 		return Compile(d.Rules, d.Prios, d.MaxPrio)
 	}
-	q := &Program{
-		words:     int(d.MaxPrio+64) >> 6,
-		liveRules: len(d.Rules),
-	}
-	prioOf := identityOr(d.Prios)
-	q.ruleOf = make([]int32, int(d.MaxPrio)+1)
-	for i := range q.ruleOf {
-		q.ruleOf[i] = -1
-	}
-	for i := range d.Rules {
-		q.ruleOf[prioOf(i)] = int32(i)
-	}
+	q, prioOf := newProgram(d.Rules, d.Prios, d.MaxPrio)
 	for a := 0; a < numAttrs; a++ {
 		old := &p.attrs[a]
 		nb, nref, flip := mergedBounds(old, boundaryNet(&d, a))
@@ -236,7 +225,7 @@ func patchAttr(old *attrTable, d *Delta, a, oldWords, words int, prioOf func(int
 		if remCount == nil {
 			remCount = make([]uint32, len(old.bounds)+1)
 		}
-		lb, rb := span(old.bounds, lo, hi)
+		lb, rb := upperBound(old.bounds, lo), upperBound(old.bounds, hi)
 		for j := lb; j <= rb; j++ {
 			remCount[j]++
 		}
@@ -259,7 +248,7 @@ func patchAttr(old *attrTable, d *Delta, a, oldWords, words int, prioOf func(int
 			addAny++
 			continue
 		}
-		lb, rb := span(bounds, lo, hi)
+		lb, rb := upperBound(bounds, lo), upperBound(bounds, hi)
 		addSpans[i] = [2]int32{int32(lb), int32(rb)}
 		for j := lb; j <= rb; j++ {
 			counts[j]++
@@ -320,6 +309,7 @@ func patchAttr(old *attrTable, d *Delta, a, oldWords, words int, prioOf func(int
 				setBit(tb.anyBits, prioOf(d.AddStart+i))
 			}
 		}
+		tb.indexAny()
 	}
 	return tb
 }

@@ -9,15 +9,13 @@
 //
 // # Role
 //
-// The filter's hot path (internal/filter) used to resolve a packet by
-// walking src-prefix trie levels and then linearly scanning each node's
-// candidate rules with rule.Matches — O(rules-per-node) for rule shapes
-// that share a src prefix (reflection floods keyed by src port, carpet
-// bombing keyed by dst range). A compiled Program replaces that scan:
-// Classify(t) answers exactly what the linear first-match oracle
-// (ascending priority, rules.Rule.Matches) would, at a cost governed by
-// how many rules share a single packet's five attribute classes, not by
-// the rule-set size.
+// The filter's hot path (internal/filter) resolves a packet through a
+// compiled Program: Classify(t) answers exactly what the linear
+// first-match oracle (ascending priority, rules.Rule.Matches) would, at a
+// cost governed by how many rules share a single packet's five attribute
+// classes, not by the rule-set size — rule shapes that share a src prefix
+// (reflection floods keyed by src port, carpet bombing keyed by dst
+// range) included, where a per-prefix candidate scan is O(rules-per-node).
 //
 // Design notes: all five attributes — addresses and ports/proto alike —
 // are compiled through one uniform uint32 interval-table representation
@@ -37,8 +35,10 @@
 // rules. Per attribute: the boundary table and its refcounts, one uint32
 // offset per interval (interval i's sparse members are
 // sparse[off[i]:off[i+1]]), a small side table naming the rare dense
-// intervals, and the any-rules as a bitset plus a count. At 100,000
-// rules of the benchmark's shape that is 43 bytes per rule.
+// intervals, and the any-rules as a bitset plus a count (the lowest
+// sparseMax listed, a summary level past that many, so a driver never
+// scans a sparse set's empty words). At 100,000 rules of the benchmark's
+// shape that is 43 bytes per rule.
 //
 // Interval resolution is O(1), not a binary search: compile time also
 // tabulates value→interval translations (index.go) — a 256-entry array
@@ -65,10 +65,9 @@
 // which is mutable and single-caller). Reconfiguration is copy-on-write
 // — Delta builds and returns a new Program, sharing only immutable
 // boundary and index tables with its predecessor, which concurrent
-// readers may still be scanning. The filter swaps Programs through the
-// same atomic ruleView pointer as trie snapshots; Compile/Delta are
-// called from the single writer (the filter thread), never from the
-// packet path.
+// readers may still be scanning. The filter swaps Programs through its
+// atomic ruleView pointer; Compile/Delta are called from the single
+// writer (the filter thread), never from the packet path.
 //
 // # Invariants
 //

@@ -12,9 +12,14 @@ import (
 	"github.com/innetworkfiltering/vif/internal/rules"
 )
 
-// benchShapeRules draws k rules in the repository benchmark's shape
-// (bench/gen.go, seed 1): a random source prefix from a mostly-/24 mix of
-// lengths, one victim /24 as destination, UDP, ports unrestricted.
+// benchShapeRules draws k rules in the repository benchmark's shape: a
+// random source prefix from a mostly-/24 mix of lengths, one victim /24 as
+// destination, UDP, ports unrestricted. It is a hand copy — bench/ is its
+// own module, which the root module cannot import — of bench/gen.go's
+// genRule (the srcLens mix, rng.Uint32 then rng.Intn per rule, Canonical),
+// victimPrefix(0) and genRules' ID = index+1, at seed 1. PAllow is left
+// out: it does not reach the compiled program. If those change, change
+// this with them: the footprint tests' guarantees are about that shape.
 func benchShapeRules(k int) []rules.Rule {
 	rng := rand.New(rand.NewSource(1))
 	srcLens := []uint8{22, 24, 24, 24, 26, 28}

@@ -1,10 +1,8 @@
 package classify
 
-// Direct-index interval translation. The compiled probe's cost used to be
-// one upperBound binary search per attribute — log(bounds) dependent
-// loads, each a likely cache miss at 100k-rule boundary tables. The
-// structures here translate value → elementary-interval index in one to
-// three dependent loads instead:
+// Direct-index interval translation: value → elementary-interval index in
+// one to three dependent loads, where an upperBound binary search of a
+// 100k-rule boundary table pays log(bounds) likely cache misses.
 //
 //   - proto: a 256-entry uint16 array, value-indexed;
 //   - src/dst port: a 65536-entry uint16 array, value-indexed;

@@ -411,7 +411,7 @@ func TestThroughputDegradesWithRules(t *testing.T) {
 	// /24 rules the compiled classifier (~10 MB) plus binary and logs is
 	// ~13 MB resident; at 100 rules everything fits (as it does at
 	// 100,000 — classify's TestFootprintBudget holds that line).
-	perPacket := func(nRules int) float64 {
+	perPacket := func(nRules int) (ns float64, resident int) {
 		rng := rand.New(rand.NewSource(9))
 		rs := make([]rules.Rule, nRules)
 		for i := range rs {
@@ -438,10 +438,13 @@ func TestThroughputDegradesWithRules(t *testing.T) {
 				DstIP: packet.MustParseIP("192.0.2.1"), Proto: packet.ProtoUDP,
 			}, 64))
 		}
-		return f.Enclave().VirtualNs() / n
+		return f.Enclave().VirtualNs() / n, f.Enclave().MemoryUsed()
 	}
-	small := perPacket(100)
-	large := perPacket(250000)
+	small, smallMem := perPacket(100)
+	large, largeMem := perPacket(250000)
+	if llc := enclave.DefaultCostModel().LLCBytes; smallMem > llc || largeMem <= llc {
+		t.Fatalf("operating points hold %d and %d bytes: they no longer straddle the %d-byte LLC", smallMem, largeMem, llc)
+	}
 	if large < small*2 {
 		t.Fatalf("250000 rules (%.0f ns/pkt) not meaningfully slower than 100 (%.0f ns/pkt)", large, small)
 	}
